@@ -18,10 +18,6 @@
 //!   --width-sweep      measure the speculative rows even when the host
 //!                      has a single core
 //!   --threads N        simulation worker threads (default all cores)
-//!   --word-width W     fault-plane word width: 64 (default), 128 or 256
-//!                      (256 needs the `w256` build feature). The walk
-//!                      is bit-identical at every width, so `--golden`
-//!                      applies unchanged
 //!   --fault-model M    fault model: stuck-at (default) or transition
 //!   --reps N           repetitions per row; the fastest is reported
 //!                      (default 1 — a synthesis run is long enough)
@@ -64,7 +60,6 @@ use wbist_bench::Json;
 use wbist_circuits::synthetic;
 use wbist_core::{RunOptions, Synthesis, SynthesisConfig, SynthesisResult, Telemetry};
 use wbist_netlist::{FaultModel, FaultUniverse};
-use wbist_sim::WordWidth;
 
 /// Default target subsampling per circuit: every `keep_every`-th fault
 /// stays a target. Chosen so a full synthesis walk finishes in seconds
@@ -141,16 +136,6 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .filter(|&t| t >= 1)
         .unwrap_or(cores);
-    let word_width = match opt("--word-width") {
-        None => WordWidth::W64,
-        Some(s) => match WordWidth::parse(&s) {
-            Ok(w) => w,
-            Err(reason) => {
-                eprintln!("{reason}");
-                std::process::exit(1);
-            }
-        },
-    };
     // On a single core the speculative rows only measure scheduling
     // overhead — the wavefront evaluates inline — so the default sweep
     // collapses to the width-1 baseline unless --width-sweep insists
@@ -206,7 +191,6 @@ fn main() {
             for _ in 0..reps {
                 let tel = Telemetry::enabled();
                 let mut run = RunOptions::with_threads(threads).telemetry(tel.clone());
-                run.sim.word_width = word_width;
                 run.sim.no_cone_seeding = no_cone_seeding;
                 let cfg = SynthesisConfig {
                     sequence_length: lg,
@@ -301,7 +285,6 @@ fn main() {
                 ("t_len", t_len.into()),
                 ("sequence_length", lg.into()),
                 ("threads", threads.into()),
-                ("word_width", u64::from(word_width.bits()).into()),
                 ("speculation", width.into()),
                 ("seconds", secs.into()),
                 ("candidates_tried", tried.into()),
@@ -342,7 +325,6 @@ fn main() {
             rows.push(Json::obj(vec![
                 ("circuit", name.as_str().into()),
                 ("speculation", width.into()),
-                ("word_width", u64::from(word_width.bits()).into()),
                 ("available_cores", cores.into()),
                 (
                     "skipped_reason",

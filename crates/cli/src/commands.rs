@@ -14,7 +14,7 @@ use wbist_netlist::{bench_format, circuit_stats, Circuit, FaultList, FaultModel,
 use wbist_serve::ServeConfig;
 use wbist_sim::{
     Budget, CancelToken, FaultSim, RunOptions, SimOptions, Telemetry, TestSequence,
-    TruncationReason, WordWidth,
+    TruncationReason,
 };
 
 /// Top-level usage text.
@@ -42,9 +42,6 @@ pub const USAGE: &str = "usage:
       (exit 2 when resumable work was left behind)
   global options (any command):
       --threads N     simulator worker threads (default: all cores)
-      --word-width W  fault-plane word width: 64 (default) | 128 | 256
-                      (256 needs the `w256` build feature); detections
-                      are bit-identical at every width
       --no-cone-seeding  disable cone-seeded good-trace resume (results
                       are bit-identical; for identity diffs and timing)
   fault selection (faults, atpg, sim, synth, obs, session, podem):
@@ -133,7 +130,6 @@ pub struct Globals {
 fn extract_globals(argv: &[String]) -> Result<(Vec<String>, Globals), CliError> {
     let mut rest = Vec::new();
     let mut threads: Option<usize> = None;
-    let mut word_width = WordWidth::default();
     let mut reference_kernel = false;
     let mut no_cone_seeding = false;
     let mut trace: Option<String> = None;
@@ -154,12 +150,6 @@ fn extract_globals(argv: &[String]) -> Result<(Vec<String>, Globals), CliError> 
                     return Err(usage("--threads must be at least 1"));
                 }
                 threads = Some(n);
-            }
-            "--word-width" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| usage("--word-width needs a value"))?;
-                word_width = WordWidth::parse(v).map_err(usage)?;
             }
             "--no-cone-seeding" => no_cone_seeding = true,
             "--kernel" => {
@@ -251,7 +241,6 @@ fn extract_globals(argv: &[String]) -> Result<(Vec<String>, Globals), CliError> 
     let run = RunOptions {
         sim: SimOptions {
             threads,
-            word_width,
             reference_kernel,
             no_cone_seeding,
         },
@@ -993,59 +982,6 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    #[test]
-    fn bad_word_width_is_rejected() {
-        for bad in ["32", "0", "sixty-four"] {
-            let e = dispatch(&argv(&["sim", "x.bench", "y.txt", "--word-width", bad]));
-            match e {
-                Err(CliError::Usage(msg)) => assert!(msg.contains("word width"), "{msg}"),
-                other => panic!("--word-width {bad}: expected usage error, got {other:?}"),
-            }
-        }
-        #[cfg(not(feature = "w256"))]
-        {
-            let e = dispatch(&argv(&["sim", "x.bench", "y.txt", "--word-width", "256"]));
-            match e {
-                Err(CliError::Usage(msg)) => assert!(msg.contains("w256"), "{msg}"),
-                other => panic!("expected usage error, got {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn word_width_changes_only_the_width_event_in_the_trace() {
-        let dir = std::env::temp_dir().join(format!("wbist-width-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("tempdir");
-        let bench = dir.join("s27.bench");
-        dispatch(&argv(&["gen", "s27", "-o", bench.to_str().expect("utf8")])).expect("gen");
-        let mut traces = Vec::new();
-        for width in ["64", "128"] {
-            let out = dir.join(format!("trace{width}.json"));
-            dispatch(&argv(&[
-                "synth",
-                bench.to_str().expect("utf8"),
-                "--lg",
-                "64",
-                "--word-width",
-                width,
-                "--trace",
-                out.to_str().expect("utf8"),
-            ]))
-            .expect("synth with trace");
-            traces.push(std::fs::read_to_string(&out).expect("trace written"));
-        }
-        assert!(traces[1].contains("sim.word_width"));
-        // The width is recorded as provenance; everything else in the
-        // deterministic trace — detections, Ω, every counter — must be
-        // byte-identical across widths.
-        let normalized = traces[1].replace("\"bits\": 128", "\"bits\": 64");
-        assert_eq!(
-            traces[0], normalized,
-            "trace must be width-invariant apart from the sim.word_width event"
-        );
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
     // One test per exit-code class: 0 = Ok(Complete), 2 = Ok(Truncated),
     // 1 = Err(Usage | Run). `main` maps these one to one.
     #[test]
@@ -1072,6 +1008,27 @@ mod tests {
         ]))
         .expect("truncation is not an error");
         assert!(matches!(status, CmdStatus::Truncated(_)), "{status:?}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn unrepresentable_wall_budget_is_no_deadline() {
+        let dir = std::env::temp_dir().join(format!("wbist-wall-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("tempdir");
+        let bench = dir.join("s27.bench");
+        dispatch(&argv(&["gen", "s27", "-o", bench.to_str().expect("utf8")])).expect("gen");
+        for secs in ["1e300", "inf"] {
+            let status = dispatch(&argv(&[
+                "synth",
+                bench.to_str().expect("utf8"),
+                "--lg",
+                "64",
+                "--max-wall-secs",
+                secs,
+            ]))
+            .expect("a huge wall budget is valid");
+            assert_eq!(status, CmdStatus::Complete, "--max-wall-secs {secs}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

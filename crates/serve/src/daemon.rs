@@ -858,6 +858,10 @@ mod signals {
             fn signal(signum: i32, handler: usize) -> usize;
         }
         const SIGTERM: i32 = 15;
+        // SAFETY: `signal` matches the C prototype (an int and a
+        // pointer-sized handler in, the old handler out), SIGTERM is a
+        // valid signal number, and `on_term` is a `'static` C-ABI fn
+        // that only stores to an atomic, which is async-signal-safe.
         unsafe {
             signal(SIGTERM, on_term as extern "C" fn(i32) as usize);
         }

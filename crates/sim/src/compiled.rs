@@ -45,9 +45,8 @@
 //! bounds the observed nets a batch can ever disturb.
 
 use crate::logic::Logic3;
-use crate::plane::Planes;
+use crate::plane::{Planes, BATCH_FAULTS};
 use crate::sequence::TestSequence;
-use crate::word::Word;
 use wbist_netlist::{Circuit, Driver, Fault, FaultSite, GateKind};
 
 /// Which flat [`Schedule`] array a conditional injection overlays.
@@ -70,7 +69,7 @@ pub(crate) enum InjSlot {
 /// stores every cycle, so both the launch and the capture value are one
 /// indexed read away; stuck-at faults never allocate an entry here.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct CondInj<W> {
+pub(crate) struct CondInj {
     /// Which array the effect masks OR into.
     pub(crate) slot: InjSlot,
     /// Index of the target entry in that array (post-sort).
@@ -80,7 +79,7 @@ pub(crate) struct CondInj<W> {
     /// Destination value of the slow transition.
     pub(crate) slow_to: bool,
     /// Machine bit of the fault.
-    pub(crate) bit: W,
+    pub(crate) bit: u64,
 }
 
 /// Load codes in the fanout CSR: values `< num_gates` are consuming
@@ -672,11 +671,9 @@ impl GoodTrace {
     }
 
     /// The fault-free value of net `n` at cycle `u`, broadcast to all
-    /// machine bit positions of the requested lane width. The trace
-    /// itself is packed one bit per net regardless of the batch width —
-    /// only this broadcast is width-dependent.
+    /// machine bit positions.
     #[inline]
-    pub(crate) fn planes<W: Word>(&self, u: usize, n: usize) -> Planes<W> {
+    pub(crate) fn planes(&self, u: usize, n: usize) -> Planes {
         let w = u * self.words + n / 64;
         let bit = 1u64 << (n % 64);
         if self.ones[w] & bit != 0 {
@@ -718,13 +715,13 @@ impl GoodTrace {
 /// bookkeeping). Resuming from a snapshot is therefore bit-identical to
 /// a from-scratch run, deterministic counters included.
 #[derive(Debug, Clone)]
-pub(crate) struct BatchCkpt<W> {
+pub(crate) struct BatchCkpt {
     /// The cycle the snapshot resumes at (state *entering* this cycle).
     pub(crate) cycle: usize,
     /// Live fault mask entering `cycle`.
-    pub(crate) live: W,
+    pub(crate) live: u64,
     /// Faulty flip-flop planes entering `cycle`.
-    pub(crate) ff: Vec<Planes<W>>,
+    pub(crate) ff: Vec<Planes>,
     /// Flip-flop indices flagged dirty entering `cycle`.
     pub(crate) dirty_dffs: Vec<u32>,
     /// Cumulative kernel stats over cycles `0..cycle`.
@@ -746,43 +743,39 @@ pub(crate) fn snapshot_interval(len: usize) -> usize {
 /// `GateId`), so both kernels can merge them into their topo-order
 /// stepping loop with monotone cursors.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct Schedule<W> {
+pub(crate) struct Schedule {
     /// Stem injections on primary inputs: (PI index, net, f1, f0).
-    pub(crate) src_pi: Vec<(u32, u32, W, W)>,
+    pub(crate) src_pi: Vec<(u32, u32, u64, u64)>,
     /// Stem injections on DFF outputs: (DFF index, net, f1, f0).
-    pub(crate) src_dff: Vec<(u32, u32, W, W)>,
+    pub(crate) src_dff: Vec<(u32, u32, u64, u64)>,
     /// Stem injections on constant nets: (net, value, f1, f0).
-    pub(crate) src_const: Vec<(u32, bool, W, W)>,
+    pub(crate) src_const: Vec<(u32, bool, u64, u64)>,
     /// Stem injections on gate outputs: (topo position, f1, f0), sorted.
-    pub(crate) gate_stems: Vec<(u32, W, W)>,
+    pub(crate) gate_stems: Vec<(u32, u64, u64)>,
     /// Gate-pin injections: (topo position, pin, f1, f0), sorted.
-    pub(crate) pins: Vec<(u32, u32, W, W)>,
+    pub(crate) pins: Vec<(u32, u32, u64, u64)>,
     /// DFF-data injections: (DFF index, f1, f0), sorted.
-    pub(crate) dffs: Vec<(u32, W, W)>,
+    pub(crate) dffs: Vec<(u32, u64, u64)>,
     /// Cone seeds: (net, fault bits first observable there). Stems seed
     /// their own net; pin faults seed the consuming gate's output;
     /// DFF-data faults seed the flip-flop's state output.
-    pub(crate) seeds: Vec<(u32, W)>,
+    pub(crate) seeds: Vec<(u32, u64)>,
     /// Conditional (activation-gated) injections, overlaid per cycle.
     /// Empty for pure stuck-at batches — the static arrays above are
     /// then used directly, with zero per-cycle cost.
-    pub(crate) cond: Vec<CondInj<W>>,
+    pub(crate) cond: Vec<CondInj>,
 }
 
-impl<W: Word> Schedule<W> {
-    /// Builds the schedule for one chunk of up to `W::BITS - 1` indexed
+impl Schedule {
+    /// Builds the schedule for one chunk of up to [`BATCH_FAULTS`] indexed
     /// faults; fault `k` of the chunk occupies machine bit `k + 1`.
-    pub(crate) fn build(
-        c: &Circuit,
-        cc: &CompiledCircuit,
-        faults: &[(usize, Fault)],
-    ) -> Schedule<W> {
-        debug_assert!(faults.len() < W::BITS as usize);
+    pub(crate) fn build(c: &Circuit, cc: &CompiledCircuit, faults: &[(usize, Fault)]) -> Schedule {
+        debug_assert!(faults.len() <= BATCH_FAULTS);
         let mut sched = Schedule::default();
         // (slot, key1, key2, watch, slow_to, bit): resolved to array
         // indices after the sorts below.
-        let mut cond_raw: Vec<(InjSlot, u32, u32, u32, bool, W)> = Vec::new();
-        let seed = |sched: &mut Schedule<W>, net: u32, bits: W| {
+        let mut cond_raw: Vec<(InjSlot, u32, u32, u32, bool, u64)> = Vec::new();
+        let seed = |sched: &mut Schedule, net: u32, bits: u64| {
             if let Some(e) = sched.seeds.iter_mut().find(|(n, _)| *n == net) {
                 e.1 |= bits;
             } else {
@@ -790,7 +783,7 @@ impl<W: Word> Schedule<W> {
             }
         };
         for (k, &(_, f)) in faults.iter().enumerate() {
-            let bit = W::bit(k + 1);
+            let bit = 1u64 << (k + 1);
             // A stuck-at fault contributes its masks statically; a
             // transition-delay fault contributes a zero-mask entry plus a
             // conditional component that ORs the effect in on activation
@@ -799,9 +792,9 @@ impl<W: Word> Schedule<W> {
             let (f1, f0, cond) = match f {
                 Fault::StuckAt { stuck, .. } => {
                     if stuck {
-                        (bit, W::ZERO, None)
+                        (bit, 0, None)
                     } else {
-                        (W::ZERO, bit, None)
+                        (0, bit, None)
                     }
                 }
                 Fault::TransitionDelay { site, slow_to } => {
@@ -810,7 +803,7 @@ impl<W: Word> Schedule<W> {
                         FaultSite::GatePin { gate, pin } => c.gate(gate).inputs[pin].index() as u32,
                         FaultSite::DffData(k) => cc.dff_d[k],
                     };
-                    (W::ZERO, W::ZERO, Some((watch, slow_to)))
+                    (0, 0, Some((watch, slow_to)))
                 }
             };
             match f.site() {
@@ -905,7 +898,7 @@ impl<W: Word> Schedule<W> {
 
     /// The schedule's injection arrays as consumed by one cycle, with no
     /// conditional components (valid whenever `cond` is empty).
-    pub(crate) fn static_view(&self) -> CycleInj<'_, W> {
+    pub(crate) fn static_view(&self) -> CycleInj<'_> {
         CycleInj {
             src_pi: &self.src_pi,
             src_dff: &self.src_dff,
@@ -923,13 +916,13 @@ impl<W: Word> Schedule<W> {
 /// are identical either way, so the kernels' monotone cursors are
 /// oblivious to which source they read.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct CycleInj<'a, W> {
-    pub(crate) src_pi: &'a [(u32, u32, W, W)],
-    pub(crate) src_dff: &'a [(u32, u32, W, W)],
-    pub(crate) src_const: &'a [(u32, bool, W, W)],
-    pub(crate) gate_stems: &'a [(u32, W, W)],
-    pub(crate) pins: &'a [(u32, u32, W, W)],
-    pub(crate) dffs: &'a [(u32, W, W)],
+pub(crate) struct CycleInj<'a> {
+    pub(crate) src_pi: &'a [(u32, u32, u64, u64)],
+    pub(crate) src_dff: &'a [(u32, u32, u64, u64)],
+    pub(crate) src_const: &'a [(u32, bool, u64, u64)],
+    pub(crate) gate_stems: &'a [(u32, u64, u64)],
+    pub(crate) pins: &'a [(u32, u32, u64, u64)],
+    pub(crate) dffs: &'a [(u32, u64, u64)],
 }
 
 /// Per-worker scratch holding one cycle's effective injection masks when
@@ -937,17 +930,17 @@ pub(crate) struct CycleInj<'a, W> {
 /// cycles and batches (clear + extend), so the steady-state cycle loop
 /// performs no allocation.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct MaskBuf<W> {
-    src_pi: Vec<(u32, u32, W, W)>,
-    src_dff: Vec<(u32, u32, W, W)>,
-    src_const: Vec<(u32, bool, W, W)>,
-    gate_stems: Vec<(u32, W, W)>,
-    pins: Vec<(u32, u32, W, W)>,
-    dffs: Vec<(u32, W, W)>,
+pub(crate) struct MaskBuf {
+    src_pi: Vec<(u32, u32, u64, u64)>,
+    src_dff: Vec<(u32, u32, u64, u64)>,
+    src_const: Vec<(u32, bool, u64, u64)>,
+    gate_stems: Vec<(u32, u64, u64)>,
+    pins: Vec<(u32, u32, u64, u64)>,
+    dffs: Vec<(u32, u64, u64)>,
 }
 
-impl<W: Word> MaskBuf<W> {
-    pub(crate) fn new() -> MaskBuf<W> {
+impl MaskBuf {
+    pub(crate) fn new() -> MaskBuf {
         MaskBuf::default()
     }
 
@@ -956,13 +949,7 @@ impl<W: Word> MaskBuf<W> {
     /// condition holds on the fault-free machine. The launch value at
     /// cycle 0 comes from `prev0` (the good net values entering the
     /// sequence — `None` means the all-`X` start, which never launches).
-    fn refresh(
-        &mut self,
-        sched: &Schedule<W>,
-        trace: &GoodTrace,
-        u: usize,
-        prev0: Option<&[Logic3]>,
-    ) {
+    fn refresh(&mut self, sched: &Schedule, trace: &GoodTrace, u: usize, prev0: Option<&[Logic3]>) {
         self.src_pi.clear();
         self.src_pi.extend_from_slice(&sched.src_pi);
         self.src_dff.clear();
@@ -989,11 +976,7 @@ impl<W: Word> MaskBuf<W> {
             if cur == ci.slow_to.into() && prev == (!ci.slow_to).into() {
                 // The slow site still shows the old value in the capture
                 // cycle: slow-to-rise forces 0, slow-to-fall forces 1.
-                let (a1, a0) = if ci.slow_to {
-                    (W::ZERO, ci.bit)
-                } else {
-                    (ci.bit, W::ZERO)
-                };
+                let (a1, a0) = if ci.slow_to { (0, ci.bit) } else { (ci.bit, 0) };
                 let i = ci.idx as usize;
                 match ci.slot {
                     InjSlot::SrcPi => {
@@ -1025,7 +1008,7 @@ impl<W: Word> MaskBuf<W> {
         }
     }
 
-    fn view(&self) -> CycleInj<'_, W> {
+    fn view(&self) -> CycleInj<'_> {
         CycleInj {
             src_pi: &self.src_pi,
             src_dff: &self.src_dff,
@@ -1037,7 +1020,7 @@ impl<W: Word> MaskBuf<W> {
     }
 }
 
-fn merge3<W: Word>(v: &mut Vec<(u32, W, W)>, key: u32, f1: W, f0: W) {
+fn merge3(v: &mut Vec<(u32, u64, u64)>, key: u32, f1: u64, f0: u64) {
     if let Some(e) = v.iter_mut().find(|(k, _, _)| *k == key) {
         e.1 |= f1;
         e.2 |= f0;
@@ -1046,7 +1029,7 @@ fn merge3<W: Word>(v: &mut Vec<(u32, W, W)>, key: u32, f1: W, f0: W) {
     }
 }
 
-fn merge_src<W: Word>(v: &mut Vec<(u32, u32, W, W)>, key: u32, net: u32, f1: W, f0: W) {
+fn merge_src(v: &mut Vec<(u32, u32, u64, u64)>, key: u32, net: u32, f1: u64, f0: u64) {
     if let Some(e) = v.iter_mut().find(|(k, _, _, _)| *k == key) {
         e.2 |= f1;
         e.3 |= f0;
@@ -1059,10 +1042,10 @@ fn merge_src<W: Word>(v: &mut Vec<(u32, u32, W, W)>, key: u32, net: u32, f1: W, 
 /// allocated once (per worker, per query) and reused across batches and
 /// cycles — the cycle loop itself never allocates.
 #[derive(Debug, Clone)]
-pub(crate) struct ConeScratch<W> {
+pub(crate) struct ConeScratch {
     /// Per-net fault mask: which machine bits can *ever* differ from
     /// good here (the sequential reachability cone).
-    mask: Vec<W>,
+    mask: Vec<u64>,
     /// Worklist for the mask propagation (net indices).
     worklist: Vec<u32>,
     /// Nets whose mask is non-zero, in discovery order.
@@ -1087,10 +1070,10 @@ pub(crate) struct ConeScratch<W> {
     obs_list: Vec<u32>,
 }
 
-impl<W: Word> ConeScratch<W> {
-    pub(crate) fn new(cc: &CompiledCircuit) -> ConeScratch<W> {
+impl ConeScratch {
+    pub(crate) fn new(cc: &CompiledCircuit) -> ConeScratch {
         ConeScratch {
-            mask: vec![W::ZERO; cc.num_nets],
+            mask: vec![0; cc.num_nets],
             worklist: Vec::with_capacity(cc.num_nets),
             cone_nets: Vec::with_capacity(cc.num_nets),
             dirty: vec![false; cc.num_nets],
@@ -1107,18 +1090,18 @@ impl<W: Word> ConeScratch<W> {
     /// Computes the per-net fault masks for `seeds`, restricted to
     /// `live` bits: a monotone worklist closure over gate fanout and
     /// flip-flop boundaries.
-    fn propagate(&mut self, cc: &CompiledCircuit, seeds: &[(u32, W)], live: W) {
+    fn propagate(&mut self, cc: &CompiledCircuit, seeds: &[(u32, u64)], live: u64) {
         for &n in &self.cone_nets {
-            self.mask[n as usize] = W::ZERO;
+            self.mask[n as usize] = 0;
         }
         self.cone_nets.clear();
         self.worklist.clear();
         for &(n, bits) in seeds {
             let bits = bits & live;
-            if !bits.is_zero() && self.mask[n as usize].is_zero() {
+            if bits != 0 && self.mask[n as usize] == 0 {
                 self.cone_nets.push(n);
             }
-            if !bits.is_zero() {
+            if bits != 0 {
                 self.mask[n as usize] |= bits;
                 self.worklist.push(n);
             }
@@ -1135,7 +1118,7 @@ impl<W: Word> ConeScratch<W> {
                 };
                 let cur = self.mask[out as usize];
                 if cur | m != cur {
-                    if cur.is_zero() {
+                    if cur == 0 {
                         self.cone_nets.push(out);
                     }
                     self.mask[out as usize] = cur | m;
@@ -1147,28 +1130,33 @@ impl<W: Word> ConeScratch<W> {
 
     /// Test-only view of the per-net fault mask (after [`run_batch`]).
     #[cfg(test)]
-    pub(crate) fn mask_of(&self, net: usize) -> W {
+    pub(crate) fn mask_of(&self, net: usize) -> u64 {
         self.mask[net]
     }
 
     /// Test-only cone computation entry point.
     #[cfg(test)]
-    pub(crate) fn propagate_for_test(&mut self, cc: &CompiledCircuit, seeds: &[(u32, W)], live: W) {
+    pub(crate) fn propagate_for_test(
+        &mut self,
+        cc: &CompiledCircuit,
+        seeds: &[(u32, u64)],
+        live: u64,
+    ) {
         self.propagate(cc, seeds, live);
     }
 }
 
 /// What one evaluated cycle exposes to the query-specific sink.
-pub(crate) struct CycleCtx<'a, W> {
+pub(crate) struct CycleCtx<'a> {
     /// Net planes after this cycle's evaluation. Only the nets listed in
     /// `cone_nets` are current; everything else may be stale — clean
     /// nets carry the fault-free value on all live bits.
-    pub(crate) nets: &'a [Planes<W>],
+    pub(crate) nets: &'a [Planes],
     /// OR of `diff_from_good` over the observed nets that can differ.
     /// May carry bits of already-dropped machines; mask with `live`.
-    pub(crate) obs_diff: W,
+    pub(crate) obs_diff: u64,
     /// Machine bits still carrying live faults.
-    pub(crate) live: W,
+    pub(crate) live: u64,
     /// Nets whose planes differ from the good machine this cycle (the
     /// dirty set; the whole netlist under the reference kernel).
     pub(crate) cone_nets: &'a [u32],
@@ -1213,21 +1201,21 @@ pub(crate) struct BatchStats {
 /// conditional-injection launches at cycle 0 — cycles past the first
 /// read their launch value from the trace itself.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_batch<W: Word>(
+pub(crate) fn run_batch(
     cc: &CompiledCircuit,
-    sched: &Schedule<W>,
-    mut live: W,
+    sched: &Schedule,
+    mut live: u64,
     seq: &TestSequence,
     trace: &GoodTrace,
     prev0: Option<&[Logic3]>,
-    ff: &mut [Planes<W>],
-    nets: &mut [Planes<W>],
-    cone: &mut ConeScratch<W>,
-    buf: &mut MaskBuf<W>,
-    resume: Option<&BatchCkpt<W>>,
-    mut snap: Option<&mut Vec<BatchCkpt<W>>>,
-    mut sink: impl FnMut(usize, &CycleCtx<W>) -> (W, bool),
-) -> (W, BatchStats) {
+    ff: &mut [Planes],
+    nets: &mut [Planes],
+    cone: &mut ConeScratch,
+    buf: &mut MaskBuf,
+    resume: Option<&BatchCkpt>,
+    mut snap: Option<&mut Vec<BatchCkpt>>,
+    mut sink: impl FnMut(usize, &CycleCtx<'_>) -> (u64, bool),
+) -> (u64, BatchStats) {
     debug_assert_eq!(trace.len(), seq.len());
     let has_cond = !sched.cond.is_empty();
     let (start, mut stats) = match resume {
@@ -1258,7 +1246,7 @@ pub(crate) fn run_batch<W: Word>(
     }
     obs_list.clear();
     for &n in &cc.observed {
-        if !mask[n as usize].is_zero() {
+        if mask[n as usize] != 0 {
             is_observed[n as usize] = true;
             obs_list.push(n);
         }
@@ -1280,8 +1268,8 @@ pub(crate) fn run_batch<W: Word>(
         }
     } else if !seq.is_empty() {
         for (k, f) in ff.iter().enumerate() {
-            let good = trace.planes::<W>(0, cc.dff_q[k] as usize);
-            if !(((f.ones ^ good.ones) | (f.zeros ^ good.zeros)) & (live | W::LSB)).is_zero() {
+            let good = trace.planes(0, cc.dff_q[k] as usize);
+            if (((f.ones ^ good.ones) | (f.zeros ^ good.zeros)) & (live | 1)) != 0 {
                 dff_dirty[k] = true;
                 dirty_dffs.push(k as u32);
             }
@@ -1290,7 +1278,7 @@ pub(crate) fn run_batch<W: Word>(
     let interval = snapshot_interval(seq.len());
     // A snapshot taken after the live mask died resumes past the loop,
     // the same way the from-scratch run broke out of it.
-    let run_cycles = resume.is_none() || !live.is_zero();
+    let run_cycles = resume.is_none() || live != 0;
     for u in start..seq.len() {
         if !run_cycles {
             break;
@@ -1325,7 +1313,7 @@ pub(crate) fn run_batch<W: Word>(
         let row = seq.row(u);
         for &(pi, n, f1, f0) in inj.src_pi {
             let (f1, f0) = (f1 & live, f0 & live);
-            if !(f1 | f0).is_zero() {
+            if (f1 | f0) != 0 {
                 nets[n as usize] = Planes::broadcast(row[pi as usize]).inject(f1, f0);
                 if !dirty[n as usize] {
                     dirty[n as usize] = true;
@@ -1336,7 +1324,7 @@ pub(crate) fn run_batch<W: Word>(
         }
         for &(k, n, f1, f0) in inj.src_dff {
             let (f1, f0) = (f1 & live, f0 & live);
-            if !(f1 | f0).is_zero() {
+            if (f1 | f0) != 0 {
                 let base = if dff_dirty[k as usize] {
                     ff[k as usize]
                 } else {
@@ -1352,7 +1340,7 @@ pub(crate) fn run_batch<W: Word>(
         }
         for &(n, v, f1, f0) in inj.src_const {
             let (f1, f0) = (f1 & live, f0 & live);
-            if !(f1 | f0).is_zero() {
+            if (f1 | f0) != 0 {
                 nets[n as usize] = Planes::broadcast(v).inject(f1, f0);
                 if !dirty[n as usize] {
                     dirty[n as usize] = true;
@@ -1364,12 +1352,12 @@ pub(crate) fn run_batch<W: Word>(
         // Gates carrying live injections run unconditionally — their
         // operands may all be clean.
         for &(pos, f1, f0) in inj.gate_stems {
-            if !((f1 | f0) & live).is_zero() {
+            if ((f1 | f0) & live) != 0 {
                 sched_bits[(pos >> 6) as usize] |= 1 << (pos & 63);
             }
         }
         for &(pos, _, f1, f0) in inj.pins {
-            if !((f1 | f0) & live).is_zero() {
+            if ((f1 | f0) & live) != 0 {
                 sched_bits[(pos >> 6) as usize] |= 1 << (pos & 63);
             }
         }
@@ -1401,8 +1389,8 @@ pub(crate) fn run_batch<W: Word>(
                 });
                 let out = cc.out_nets[pos] as usize;
                 nets[out] = v;
-                let good = trace.planes::<W>(u, out);
-                if !(((v.ones ^ good.ones) | (v.zeros ^ good.zeros)) & (live | W::LSB)).is_zero()
+                let good = trace.planes(u, out);
+                if (((v.ones ^ good.ones) | (v.zeros ^ good.zeros)) & (live | 1)) != 0
                     && !dirty[out]
                 {
                     dirty[out] = true;
@@ -1414,7 +1402,7 @@ pub(crate) fn run_batch<W: Word>(
         // Next-state examination: flip-flops whose data net went dirty,
         // whose stored planes were dirty, or that carry live injections.
         for &(k, f1, f0) in inj.dffs {
-            if !((f1 | f0) & live).is_zero() {
+            if ((f1 | f0) & live) != 0 {
                 cand_bits[(k >> 6) as usize] |= 1 << (k & 63);
             }
         }
@@ -1439,8 +1427,8 @@ pub(crate) fn run_batch<W: Word>(
                     let (_, f1, f0) = inj.dffs[id];
                     v = v.inject(f1 & live, f0 & live);
                 }
-                let good = trace.planes::<W>(u, d);
-                if !(((v.ones ^ good.ones) | (v.zeros ^ good.zeros)) & (live | W::LSB)).is_zero() {
+                let good = trace.planes(u, d);
+                if (((v.ones ^ good.ones) | (v.zeros ^ good.zeros)) & (live | 1)) != 0 {
                     ff[k] = v;
                     dff_dirty[k] = true;
                     dirty_dffs.push(k as u32);
@@ -1450,7 +1438,7 @@ pub(crate) fn run_batch<W: Word>(
             }
         }
         // Detection sites: only dirty observed nets can differ.
-        let mut obs_diff = W::ZERO;
+        let mut obs_diff = 0;
         for &n in dirty_nets.iter() {
             if is_observed[n as usize] {
                 obs_diff |= nets[n as usize].diff_from_good();
@@ -1471,7 +1459,7 @@ pub(crate) fn run_batch<W: Word>(
         dirty_nets.clear();
         live &= !drop;
         if let Some(snaps) = snap.as_deref_mut() {
-            if (u + 1) % interval == 0 || u + 1 == seq.len() || live.is_zero() || stop {
+            if (u + 1) % interval == 0 || u + 1 == seq.len() || live == 0 || stop {
                 snaps.push(BatchCkpt {
                     cycle: u + 1,
                     live,
@@ -1482,7 +1470,7 @@ pub(crate) fn run_batch<W: Word>(
                 });
             }
         }
-        if live.is_zero() || stop {
+        if live == 0 || stop {
             break;
         }
     }
@@ -1525,18 +1513,18 @@ fn mark_loads(cc: &CompiledCircuit, sched_bits: &mut [u64], cand_bits: &mut [u64
 /// and the sink contract with [`run_batch`], so any divergence between
 /// the two kernels is in the cone machinery, not the plumbing.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_batch_reference<W: Word>(
+pub(crate) fn run_batch_reference(
     cc: &CompiledCircuit,
-    sched: &Schedule<W>,
-    mut live: W,
+    sched: &Schedule,
+    mut live: u64,
     seq: &TestSequence,
     trace: &GoodTrace,
     prev0: Option<&[Logic3]>,
-    ff: &mut [Planes<W>],
-    nets: &mut [Planes<W>],
-    buf: &mut MaskBuf<W>,
-    mut sink: impl FnMut(usize, &CycleCtx<W>) -> (W, bool),
-) -> (W, BatchStats) {
+    ff: &mut [Planes],
+    nets: &mut [Planes],
+    buf: &mut MaskBuf,
+    mut sink: impl FnMut(usize, &CycleCtx<'_>) -> (u64, bool),
+) -> (u64, BatchStats) {
     debug_assert_eq!(trace.len(), seq.len());
     let has_cond = !sched.cond.is_empty();
     nets.fill(Planes::ALL_X);
@@ -1593,7 +1581,7 @@ pub(crate) fn run_batch_reference<W: Word>(
             }
             ff[k] = v;
         }
-        let mut obs_diff = W::ZERO;
+        let mut obs_diff = 0;
         for &n in &cc.observed {
             obs_diff |= nets[n as usize].diff_from_good();
         }
@@ -1605,7 +1593,7 @@ pub(crate) fn run_batch_reference<W: Word>(
         };
         let (drop, stop) = sink(u, &ctx);
         live &= !drop;
-        if live.is_zero() || stop {
+        if live == 0 || stop {
             break;
         }
     }
@@ -1619,14 +1607,14 @@ pub(crate) fn run_batch_reference<W: Word>(
 /// array for the reference kernel, the dirty-set/good-trace split for
 /// the compiled kernel.
 #[inline]
-fn eval_gate<W: Word>(
+fn eval_gate(
     cc: &CompiledCircuit,
-    inj: CycleInj<'_, W>,
+    inj: CycleInj<'_>,
     pos: usize,
     is: &mut usize,
     ip: &mut usize,
-    read: impl Fn(u32) -> Planes<W> + Copy,
-) -> Planes<W> {
+    read: impl Fn(u32) -> Planes + Copy,
+) -> Planes {
     while *is < inj.gate_stems.len() && (inj.gate_stems[*is].0 as usize) < pos {
         *is += 1;
     }
@@ -1689,14 +1677,14 @@ fn eval_gate<W: Word>(
 /// from the pin cursor. Only called for the rare gates that carry pin
 /// injections.
 #[inline]
-fn fetch_injected<W: Word>(
-    inj: CycleInj<'_, W>,
+fn fetch_injected(
+    inj: CycleInj<'_>,
     pos: usize,
     pin: usize,
     net: u32,
     ip: usize,
-    read: impl Fn(u32) -> Planes<W>,
-) -> Planes<W> {
+    read: impl Fn(u32) -> Planes,
+) -> Planes {
     let v = read(net);
     let mut i = ip;
     while i < inj.pins.len() && inj.pins[i].0 as usize == pos {
@@ -1752,19 +1740,12 @@ mod tests {
         let oracle = crate::good::LogicSim::new(&c).trace(&seq).unwrap();
         for u in 0..seq.len() {
             for n in 0..c.num_nets() {
-                let expect: Planes<u64> = match oracle.value(u, NetId::from_index(n)) {
+                let expect: Planes = match oracle.value(u, NetId::from_index(n)) {
                     Logic3::One => Planes::ALL_ONE,
                     Logic3::Zero => Planes::ALL_ZERO,
                     Logic3::X => Planes::ALL_X,
                 };
-                assert_eq!(trace.planes::<u64>(u, n), expect, "net {n} at {u}");
-                // The wide broadcasts agree with the u64 one bit-for-bit
-                // on the overlapping lanes.
-                assert_eq!(
-                    trace.planes::<u128>(u, n).limbs().0[0],
-                    expect.ones,
-                    "u128 broadcast, net {n} at {u}"
-                );
+                assert_eq!(trace.planes(u, n), expect, "net {n} at {u}");
             }
         }
         let oracle_ff = crate::good::LogicSim::new(&c).final_state(&seq).unwrap();
@@ -1792,8 +1773,8 @@ mod tests {
             for u in 0..seq.len() {
                 for n in 0..c.num_nets() {
                     assert_eq!(
-                        got.planes::<u64>(u, n),
-                        expect.planes::<u64>(u, n),
+                        got.planes(u, n),
+                        expect.planes(u, n),
                         "net {n} at {u} (shared {shared})"
                     );
                 }
@@ -1843,8 +1824,8 @@ mod tests {
                 for u in 0..seq.len() {
                     for n in 0..c.num_nets() {
                         assert_eq!(
-                            got.planes::<u64>(u, n),
-                            expect.planes::<u64>(u, n),
+                            got.planes(u, n),
+                            expect.planes(u, n),
                             "net {n} at {u} (shared {shared}, changed {changed:?})"
                         );
                     }
@@ -1872,7 +1853,7 @@ mod tests {
     fn cone_of_output_stem_is_local() {
         let c = toy();
         let cc = CompiledCircuit::build(&c);
-        let mut cone: ConeScratch<u64> = ConeScratch::new(&cc);
+        let mut cone = ConeScratch::new(&cc);
         let y = c.net_by_name("y").unwrap().index();
         // A fault on the PO stem y reaches nothing else: y has no loads.
         cone.propagate_for_test(&cc, &[(y as u32, 0b10)], !0);
@@ -1885,7 +1866,7 @@ mod tests {
     fn cone_crosses_the_register_boundary() {
         let c = toy();
         let cc = CompiledCircuit::build(&c);
-        let mut cone: ConeScratch<u64> = ConeScratch::new(&cc);
+        let mut cone = ConeScratch::new(&cc);
         // A fault seeded at the DFF state output q contaminates g (NAND
         // reads q), then y, and — through the register (g drives the DFF
         // data input) — stays closed on q itself.
@@ -1898,7 +1879,7 @@ mod tests {
         assert_eq!(cone.mask_of(y), 0b100, "transitive fanout");
         // And the other direction: a fault on g's output crosses the DFF
         // d→q boundary into the next cycle's state.
-        let mut cone: ConeScratch<u64> = ConeScratch::new(&cc);
+        let mut cone = ConeScratch::new(&cc);
         cone.propagate_for_test(&cc, &[(g as u32, 0b10)], !0);
         assert_eq!(cone.mask_of(q), 0b10, "cone must cross the register");
         assert_eq!(cone.mask_of(y), 0b10);
@@ -1908,15 +1889,10 @@ mod tests {
     fn dead_bits_are_excluded_from_the_cone() {
         let c = toy();
         let cc = CompiledCircuit::build(&c);
-        let mut cone: ConeScratch<u64> = ConeScratch::new(&cc);
+        let mut cone = ConeScratch::new(&cc);
         let g = c.net_by_name("g").unwrap().index();
         // Seed two faults at g, but only one is live.
         cone.propagate_for_test(&cc, &[(g as u32, 0b110)], 0b010);
         assert_eq!(cone.mask_of(g), 0b010);
-        // The same closure works on wide lanes, including bits past 64.
-        let mut cone: ConeScratch<u128> = ConeScratch::new(&cc);
-        let hi = 1u128 << 100;
-        cone.propagate_for_test(&cc, &[(g as u32, hi | 0b10)], hi);
-        assert_eq!(cone.mask_of(g), hi);
     }
 }

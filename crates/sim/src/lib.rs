@@ -8,10 +8,9 @@
 //! * [`LogicSim`] — good-machine (fault-free) simulation from the all-`X`
 //!   initial state, with optional full-trace recording;
 //! * [`FaultSim`] — a parallel-fault sequential fault simulator that
-//!   evaluates `W::BITS - 1` faulty machines plus the fault-free machine
-//!   per plane word (63 at the default [`WordWidth::W64`], 127 at
-//!   [`WordWidth::W128`]), using a two-bit-plane encoding of
-//!   three-valued signals. It is generic over the fault model (single
+//!   evaluates 63 faulty machines plus the fault-free machine per `u64`
+//!   plane word, using a two-bit-plane encoding of three-valued
+//!   signals. It is generic over the fault model (single
 //!   stuck-at and transition-delay faults); all one-shot questions go
 //!   through the [`FaultSim::query`] builder.
 //! * [`pool`] — the single work-stealing pool that every parallel
@@ -47,7 +46,6 @@
 
 mod compiled;
 pub mod error;
-pub mod event;
 pub mod fault;
 pub mod good;
 pub mod logic;
@@ -60,10 +58,8 @@ pub mod run;
 pub mod runctl;
 pub mod sequence;
 pub mod vcd;
-mod word;
 
 pub use error::SimError;
-pub use event::EventSim;
 pub use fault::{
     CompiledHandle, FaultSim, FaultSimState, PreparedOutcome, PreparedSequence, Query, SimOptions,
 };
@@ -76,4 +72,3 @@ pub use run::RunOptions;
 pub use runctl::{Budget, CancelToken, TruncationReason};
 pub use sequence::TestSequence;
 pub use wbist_telemetry::Telemetry;
-pub use word::WordWidth;

@@ -43,7 +43,6 @@ use std::sync::Arc;
 use crate::compiled::{BatchCkpt, BatchStats, GoodTrace};
 use crate::plane::Planes;
 use crate::sequence::TestSequence;
-use crate::word::Word;
 use wbist_netlist::{FaultList, FaultModel, FaultSite};
 
 /// Entries kept per cache (the last few committed candidates). Small by
@@ -71,11 +70,11 @@ pub(crate) const SPILL_BYTE_BUDGET: usize = 16 << 20;
 /// XOR round-trips, and the class tags are checked in the same order on
 /// both sides.
 #[derive(Debug)]
-pub(crate) struct SpilledCkpt<W> {
+pub(crate) struct SpilledCkpt {
     /// The cycle the snapshot resumes at (state *entering* this cycle).
     pub(crate) cycle: usize,
     /// Live fault mask entering `cycle`.
-    pub(crate) live: W,
+    pub(crate) live: u64,
     /// Flip-flop indices flagged dirty entering `cycle`.
     pub(crate) dirty_dffs: Vec<u32>,
     /// Cumulative kernel stats over cycles `0..cycle`.
@@ -90,22 +89,22 @@ pub(crate) struct SpilledCkpt<W> {
     good_bits: Vec<u64>,
     /// XOR deltas vs. the broadcast good value for every remaining
     /// flip-flop, ascending by index.
-    deltas: Vec<Planes<W>>,
+    deltas: Vec<Planes>,
 }
 
-impl<W: Word> SpilledCkpt<W> {
+impl SpilledCkpt {
     /// The broadcast good-machine value of flip-flop `k` entering
     /// `cycle`: its D input at the previous cycle. Snapshots are taken
     /// at cycle boundaries `u + 1 ≥ 1`, so the row always exists.
     #[inline]
-    fn good_plane(trace: &GoodTrace, dff_d: &[u32], cycle: usize, k: usize) -> Planes<W> {
+    fn good_plane(trace: &GoodTrace, dff_d: &[u32], cycle: usize, k: usize) -> Planes {
         debug_assert!(cycle >= 1);
         trace.planes(cycle - 1, dff_d[k] as usize)
     }
 
     /// Compresses a raw checkpoint against the trace it was captured
     /// under.
-    pub(crate) fn compress(ck: &BatchCkpt<W>, trace: &GoodTrace, dff_d: &[u32]) -> SpilledCkpt<W> {
+    pub(crate) fn compress(ck: &BatchCkpt, trace: &GoodTrace, dff_d: &[u32]) -> SpilledCkpt {
         let words = ck.ff.len().div_ceil(64);
         let mut x_bits = vec![0u64; words];
         let mut good_bits = vec![0u64; words];
@@ -141,7 +140,7 @@ impl<W: Word> SpilledCkpt<W> {
     /// Reconstructs the raw checkpoint. `trace` must agree with the
     /// capture trace on rows before `cycle` (true for any trace sharing
     /// at least `cycle` prefix rows with the capture sequence).
-    pub(crate) fn restore(&self, trace: &GoodTrace, dff_d: &[u32]) -> BatchCkpt<W> {
+    pub(crate) fn restore(&self, trace: &GoodTrace, dff_d: &[u32]) -> BatchCkpt {
         let mut ff = Vec::with_capacity(self.num_dffs);
         let mut next = self.deltas.iter();
         for k in 0..self.num_dffs {
@@ -152,7 +151,7 @@ impl<W: Word> SpilledCkpt<W> {
                 ff.push(SpilledCkpt::good_plane(trace, dff_d, self.cycle, k));
             } else {
                 let d = *next.next().expect("one delta per unclassified flip-flop");
-                let good: Planes<W> = SpilledCkpt::good_plane(trace, dff_d, self.cycle, k);
+                let good = SpilledCkpt::good_plane(trace, dff_d, self.cycle, k);
                 ff.push(Planes {
                     ones: d.ones ^ good.ones,
                     zeros: d.zeros ^ good.zeros,
@@ -172,11 +171,11 @@ impl<W: Word> SpilledCkpt<W> {
 
     /// Approximate heap footprint, for the byte budget.
     pub(crate) fn bytes(&self) -> usize {
-        std::mem::size_of::<SpilledCkpt<W>>()
+        std::mem::size_of::<SpilledCkpt>()
             + self.dirty_dffs.len() * std::mem::size_of::<u32>()
             + self.found.len() * std::mem::size_of::<(usize, usize)>()
             + (self.x_bits.len() + self.good_bits.len()) * 8
-            + self.deltas.len() * std::mem::size_of::<Planes<W>>()
+            + self.deltas.len() * std::mem::size_of::<Planes>()
     }
 }
 
@@ -187,10 +186,7 @@ impl<W: Word> SpilledCkpt<W> {
 /// cluster near the end of a sequence. If a single snapshot per batch
 /// still exceeds the budget, batches are emptied in ascending index
 /// order until the rest fit. Returns the resulting total byte count.
-pub(crate) fn enforce_spill_budget<W: Word>(
-    batches: &mut [Vec<Arc<SpilledCkpt<W>>>],
-    budget: usize,
-) -> usize {
+pub(crate) fn enforce_spill_budget(batches: &mut [Vec<Arc<SpilledCkpt>>], budget: usize) -> usize {
     let mut total: usize = batches.iter().flatten().map(|s| s.bytes()).sum();
     while total > budget {
         let pick = batches
@@ -223,14 +219,14 @@ pub(crate) fn enforce_spill_budget<W: Word>(
 /// so a cached store always matches the representation a rerun of the
 /// same query would pick.
 #[derive(Debug)]
-pub(crate) enum SnapshotStore<W> {
+pub(crate) enum SnapshotStore {
     /// Raw snapshots, ascending by cycle within each batch.
-    Raw(Vec<Vec<Arc<BatchCkpt<W>>>>),
+    Raw(Vec<Vec<Arc<BatchCkpt>>>),
     /// Compressed snapshots, ascending by cycle within each batch.
-    Spilled(Vec<Vec<Arc<SpilledCkpt<W>>>>),
+    Spilled(Vec<Vec<Arc<SpilledCkpt>>>),
 }
 
-impl<W> SnapshotStore<W> {
+impl SnapshotStore {
     /// Number of batches the store was captured over.
     pub(crate) fn num_batches(&self) -> usize {
         match self {
@@ -241,79 +237,13 @@ impl<W> SnapshotStore<W> {
 }
 
 /// Per-batch faulty-plane snapshots, valid for one (sequence, fault
-/// list, word width) triple.
+/// list) pair.
 #[derive(Debug)]
-pub(crate) struct FaultyArtifacts<W> {
+pub(crate) struct FaultyArtifacts {
     /// Fingerprint of the fault list the snapshots were taken against.
     pub(crate) fingerprint: u64,
     /// Snapshots per batch.
-    pub(crate) store: SnapshotStore<W>,
-}
-
-/// Width-erased faulty artifacts: the cache stores whatever lane width
-/// produced the snapshots, and a query at a different width simply
-/// misses (batch partitioning and machine-bit assignment are
-/// width-specific, so cross-width resume is meaningless — the
-/// width-independent good trace still gets reused).
-#[derive(Debug)]
-pub(crate) enum AnyArtifacts {
-    W64(FaultyArtifacts<u64>),
-    W128(FaultyArtifacts<u128>),
-    #[cfg(feature = "w256")]
-    W256(FaultyArtifacts<crate::word::W256>),
-}
-
-/// Selects the lane-typed artifacts out of the width-erased enum.
-/// Implemented per lane type so the generic dense-query engine can
-/// recover its own width's snapshots (and wrap new ones) without the
-/// public cache surface becoming generic.
-pub(crate) trait ArtifactLane: Word {
-    fn from_any(any: &AnyArtifacts) -> Option<&FaultyArtifacts<Self>>
-    where
-        Self: Sized;
-    fn into_any(artifacts: FaultyArtifacts<Self>) -> AnyArtifacts
-    where
-        Self: Sized;
-}
-
-impl ArtifactLane for u64 {
-    fn from_any(any: &AnyArtifacts) -> Option<&FaultyArtifacts<u64>> {
-        match any {
-            AnyArtifacts::W64(fa) => Some(fa),
-            _ => None,
-        }
-    }
-
-    fn into_any(artifacts: FaultyArtifacts<u64>) -> AnyArtifacts {
-        AnyArtifacts::W64(artifacts)
-    }
-}
-
-impl ArtifactLane for u128 {
-    fn from_any(any: &AnyArtifacts) -> Option<&FaultyArtifacts<u128>> {
-        match any {
-            AnyArtifacts::W128(fa) => Some(fa),
-            _ => None,
-        }
-    }
-
-    fn into_any(artifacts: FaultyArtifacts<u128>) -> AnyArtifacts {
-        AnyArtifacts::W128(artifacts)
-    }
-}
-
-#[cfg(feature = "w256")]
-impl ArtifactLane for crate::word::W256 {
-    fn from_any(any: &AnyArtifacts) -> Option<&FaultyArtifacts<crate::word::W256>> {
-        match any {
-            AnyArtifacts::W256(fa) => Some(fa),
-            _ => None,
-        }
-    }
-
-    fn into_any(artifacts: FaultyArtifacts<crate::word::W256>) -> AnyArtifacts {
-        AnyArtifacts::W256(artifacts)
-    }
+    pub(crate) store: SnapshotStore,
 }
 
 /// One cached sequence with its good trace and optional faulty state.
@@ -321,7 +251,7 @@ impl ArtifactLane for crate::word::W256 {
 pub(crate) struct CacheEntry {
     pub(crate) seq: TestSequence,
     pub(crate) trace: Arc<GoodTrace>,
-    pub(crate) faulty: Option<AnyArtifacts>,
+    pub(crate) faulty: Option<FaultyArtifacts>,
 }
 
 /// An entry ready to be installed into a [`PrefixTraceCache`], produced
@@ -333,7 +263,7 @@ pub(crate) struct CacheEntry {
 pub struct CacheInstall {
     pub(crate) seq: TestSequence,
     pub(crate) trace: Arc<GoodTrace>,
-    pub(crate) faulty: Option<AnyArtifacts>,
+    pub(crate) faulty: Option<FaultyArtifacts>,
 }
 
 /// Cache of recently evaluated sequences, looked up by longest common
@@ -597,7 +527,7 @@ mod tests {
         let s = seq(&["00", "01", "10", "11"]);
         let (t, _) = cc.good_trace(&s, &[Logic3::X]);
         for cycle in 1..=s.len() {
-            let good: Planes<u64> = t.planes(cycle - 1, cc.dff_d[0] as usize);
+            let good = t.planes(cycle - 1, cc.dff_d[0] as usize);
             // One case per plane class: all-X, exactly-good, XOR delta.
             let delta = Planes {
                 ones: good.ones ^ 0b100,

@@ -153,7 +153,8 @@ impl CancelToken {
 
     /// Arms a token for `budget`, starting the wall clock now. An
     /// unlimited budget still yields an armed token so that
-    /// [`CancelToken::cancel`] works.
+    /// [`CancelToken::cancel`] works. A wall limit too large for an
+    /// [`Instant`] (`1e300`, `inf`) means no wall deadline.
     pub fn for_budget(budget: &Budget) -> CancelToken {
         CancelToken {
             inner: Some(Arc::new(TokenInner {
@@ -161,7 +162,8 @@ impl CancelToken {
                 reason: AtomicU8::new(0),
                 deadline: budget
                     .wall_secs
-                    .map(|s| Instant::now() + Duration::from_secs_f64(s.max(0.0))),
+                    .and_then(|s| Duration::try_from_secs_f64(s.max(0.0)).ok())
+                    .and_then(|d| Instant::now().checked_add(d)),
                 fault_cycle_limit: budget.fault_cycles.unwrap_or(u64::MAX),
                 fault_cycles: AtomicU64::new(0),
                 max_assignments: budget.max_assignments,
@@ -271,6 +273,17 @@ mod tests {
     fn expired_deadline_trips_as_wall_clock() {
         let t = CancelToken::for_budget(&Budget::unlimited().wall_secs(0.0));
         assert_eq!(t.cancelled(), Some(TruncationReason::WallClock));
+    }
+
+    #[test]
+    fn unrepresentable_deadline_means_no_wall_limit() {
+        for secs in [1e19, 1e300, f64::INFINITY] {
+            let t = CancelToken::for_budget(&Budget::unlimited().wall_secs(secs));
+            assert!(t.is_armed());
+            assert_eq!(t.cancelled(), None, "wall_secs {secs}");
+            t.cancel(TruncationReason::Cancelled);
+            assert_eq!(t.cancelled(), Some(TruncationReason::Cancelled));
+        }
     }
 
     #[test]

@@ -5,7 +5,6 @@
 # Usage: scripts/bench_select.sh [--circuits s1196,s5378,s35932]
 #                                [--widths 1,4,8] [--threads N]
 #                                [--t-len N] [--lg N] [--keep-every N]
-#                                [--word-width 64|128|256]
 #                                [--reps N] [--width-sweep] [--golden]
 # Extra arguments are forwarded to the synth_bench binary. The committed
 # BENCH_select.json is regenerated with:

@@ -7,15 +7,7 @@ use proptest::prelude::*;
 use wbist::atpg::Lfsr;
 use wbist::circuits::SyntheticSpec;
 use wbist::netlist::{FaultModel, FaultUniverse};
-use wbist::sim::{FaultSim, SerialFaultSim, SimOptions, WordWidth};
-
-/// Every plane width beyond the default `u64` this build can simulate.
-fn wide_widths() -> Vec<WordWidth> {
-    #[cfg(feature = "w256")]
-    return vec![WordWidth::W128, WordWidth::W256];
-    #[cfg(not(feature = "w256"))]
-    vec![WordWidth::W128]
-}
+use wbist::sim::{FaultSim, SerialFaultSim, SimOptions};
 
 proptest! {
     /// `compiled == reference` for both fault models on circuits whose
@@ -73,55 +65,6 @@ proptest! {
                     model,
                     reference
                 );
-            }
-        }
-    }
-
-    /// Wider plane words are a pure repacking of the same machines:
-    /// detection times, incremental detection flags and the per-fault
-    /// flip-flop planes at `u128` (and the 256-bit lane when compiled
-    /// in) are bit-identical to the `u64` baseline, on both kernels and
-    /// both fault models.
-    #[test]
-    fn word_widths_are_bit_identical(seed in any::<u64>()) {
-        let c = SyntheticSpec::new("difw", 6, 4, 5, 60, seed % 16).build();
-        let seq = Lfsr::new(23, (seed % 4000) as u32 + 29).sequence(6, 40);
-        for model in FaultModel::ALL {
-            let faults = FaultUniverse::enumerate(model, &c);
-            prop_assert!(faults.len() > 63, "fault list must span u64 batches");
-            for reference in [false, true] {
-                let narrow = FaultSim::with_options(
-                    &c,
-                    SimOptions::with_threads(1).reference_kernel(reference),
-                );
-                let times = narrow.query(&faults).sequence(&seq).detection_times();
-                let mut nst = narrow.begin(&faults);
-                narrow.advance(&mut nst, &seq);
-                for width in wide_widths() {
-                    let wide = FaultSim::with_options(
-                        &c,
-                        SimOptions::with_threads(1)
-                            .word_width(width)
-                            .reference_kernel(reference),
-                    );
-                    prop_assert_eq!(
-                        wide.query(&faults).sequence(&seq).detection_times(),
-                        times.clone(),
-                        "{:?} detection times diverge at {:?}, reference={}",
-                        model, width, reference
-                    );
-                    let mut wst = wide.begin(&faults);
-                    wide.advance(&mut wst, &seq);
-                    prop_assert_eq!(wst.detected(), nst.detected());
-                    for f in 0..faults.len() {
-                        prop_assert_eq!(
-                            wst.debug_fault_ff(f),
-                            nst.debug_fault_ff(f),
-                            "fault {} FF planes diverge at {:?}",
-                            f, width
-                        );
-                    }
-                }
             }
         }
     }

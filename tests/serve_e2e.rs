@@ -250,6 +250,27 @@ fn budget_timeout_is_a_distinct_terminal_state() {
     assert_eq!(tel.counter("serve.jobs_failed"), 0);
 }
 
+/// A wall budget too large for the clock (`1e300`, and `1e400`, which
+/// parses to infinity) means no wall deadline: the job runs to `done`
+/// instead of panicking the worker that arms it.
+#[test]
+fn unrepresentable_wall_budget_runs_to_completion() {
+    let _guard = failpoints_serialized();
+    let (server, _, workers) = server_with(ServeConfig::default());
+    must(&server, r#"{"op":"register","name":"c","builtin":"s27"}"#);
+    for (id, secs) in [("huge", "1e300"), ("inf", "1e400")] {
+        must(
+            &server,
+            &format!(
+                r#"{{"op":"submit","id":"{id}","kind":"synth","circuit":"c","wall_secs":{secs}}}"#
+            ),
+        );
+        let snapshot = wait_for(&server, id, "done", LONG);
+        assert!(snapshot.get("result").is_some(), "{id}");
+    }
+    server.finish(workers);
+}
+
 /// Admission control: once the queue is full, fresh submissions are
 /// shed with a structured rejection (`shed`, `depth`,
 /// `retry_after_ms`), committed work is untouched, and the same id can

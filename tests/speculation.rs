@@ -83,55 +83,6 @@ fn s27_grid_matches_sequential_walk() {
     }
 }
 
-/// The grid crossed with fault-plane word widths: a wider plane word
-/// repacks the same machines into fewer batches, so Ω, the flags and
-/// every deterministic counter must match the sequential 64-bit walk at
-/// every (word width × threads × speculation width) combination. s27's
-/// live list fits one batch at either width, which keeps even the
-/// batch-partitioning counters (`sim.batches`, gate figures) identical;
-/// the committed synth goldens pin the multi-batch circuits at width
-/// 128 in CI.
-#[test]
-fn word_width_grid_matches_sequential_walk() {
-    use wbist::sim::WordWidth;
-    let c = s27::circuit();
-    let t = s27::paper_test_sequence();
-    let faults = FaultList::checkpoints(&c);
-    let run_at = |threads: usize, width: usize, ww: WordWidth| {
-        let tel = Telemetry::enabled();
-        let mut run = RunOptions::with_threads(threads).telemetry(tel.clone());
-        run.sim.word_width = ww;
-        let cfg = SynthesisConfig {
-            sequence_length: 100,
-            speculation: width,
-            run,
-            ..SynthesisConfig::default()
-        };
-        (
-            Synthesis::new(&c, &t, &faults).config(cfg).run(),
-            tel.counters(),
-        )
-    };
-    let reference = run_at(1, 1, WordWidth::W64);
-    assert!(!reference.0.omega.is_empty());
-    #[cfg(feature = "w256")]
-    let widths = vec![WordWidth::W64, WordWidth::W128, WordWidth::W256];
-    #[cfg(not(feature = "w256"))]
-    let widths = vec![WordWidth::W64, WordWidth::W128];
-    for ww in widths {
-        for threads in [1usize, 2, 4] {
-            for width in [1usize, 4, 8] {
-                let candidate = run_at(threads, width, ww);
-                assert_identical(
-                    &format!("word_width={ww:?} threads={threads} width={width}"),
-                    &reference,
-                    &candidate,
-                );
-            }
-        }
-    }
-}
-
 /// A bigger circuit with a subsampled target set: the widest wavefront
 /// on the most workers still reproduces the sequential walk.
 #[test]
