@@ -1,23 +1,33 @@
-//! Restoration-based static compaction of test sequences.
+//! Omission-based static compaction of test sequences.
 //!
 //! The paper applies static compaction to the deterministic sequences it
 //! consumes. This module implements omission-based compaction: candidate
-//! blocks of vectors are removed and the shortened sequence is re-fault-
-//! simulated from scratch; the removal is kept when coverage does not
-//! drop. Passes run with shrinking block sizes, scanning from the end of
-//! the sequence toward the front (late vectors are most often redundant,
+//! blocks of vectors are removed and the shortened sequence is
+//! re-fault-simulated; the removal is kept when coverage does not drop.
+//! Passes run with shrinking block sizes, scanning from the end of the
+//! sequence toward the front (late vectors are most often redundant,
 //! and removing them does not disturb the initialization prefix).
+//!
+//! A trial that omits rows `start..start + bs` leaves rows `0..start`
+//! untouched, so it does not replay them: the current sequence sits in
+//! a one-entry [`PrefixTraceCache`], and each trial resumes every fault
+//! batch from the cached snapshot at or before `start`. Its good trace
+//! is simulated from `start` only until the machine's state rejoins the
+//! cached trace, `bs` rows later there, and copied from then on.
+//! Resumed runs are bit-identical to from-scratch ones, so the
+//! compacted sequence is too.
 
 use wbist_netlist::{Circuit, FaultList};
-use wbist_sim::{FaultSim, TestSequence};
+use wbist_sim::{FaultSim, PrefixTraceCache, TestSequence};
 
 /// Configuration for [`compact`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompactionConfig {
     /// Block sizes tried, in order. Defaults to `[64, 16, 4, 1]`.
     pub block_sizes: Vec<usize>,
-    /// Upper bound on full-sequence re-simulations (compaction is
-    /// quadratic in the worst case; this caps the effort).
+    /// Upper bound on trial re-simulations (compaction is quadratic in
+    /// the worst case; this caps the effort). Each trial re-simulates
+    /// the suffix from the omitted block on, not the whole sequence.
     pub max_trials: usize,
 }
 
@@ -45,7 +55,15 @@ pub fn compact(
     config: &CompactionConfig,
 ) -> TestSequence {
     let sim = FaultSim::new(circuit);
-    let target = sim.query(faults).sequence(sequence).count();
+    // The cache holds exactly the current sequence: trials resume from
+    // its snapshots, and an accepted trial replaces it.
+    let mut cache = PrefixTraceCache::new();
+    let first = sim
+        .query(faults)
+        .prepared(&sim.prepare_sequence(None, sequence))
+        .outcome();
+    let target = first.detected.len();
+    cache.install(first.install);
     let mut current = sequence.clone();
     let mut trials = 0usize;
 
@@ -65,7 +83,11 @@ pub fn compact(
             let omit: Vec<usize> = (start..(start + bs).min(current.len())).collect();
             let shorter = current.without_rows(&omit);
             trials += 1;
-            if sim.query(faults).sequence(&shorter).count() >= target {
+            let prep = sim.prepare_sequence(Some(&cache), &shorter);
+            let trial = sim.query(faults).prepared(&prep).cache(&cache).outcome();
+            if trial.detected.len() >= target {
+                cache.clear();
+                cache.install(trial.install);
                 current = shorter;
                 // The window now covers fresh rows; stay at the same start
                 // unless it ran off the end.

@@ -10,9 +10,10 @@
 //! circuit still walks through state space, which is how hard-to-reach
 //! states get found) before giving up.
 //!
-//! Candidate evaluation uses a *sample* of the undetected faults for
-//! speed; the committed block is always simulated against the full
-//! remaining fault set, so reported coverage is exact.
+//! Candidate evaluation screens each block against a *sample* of the
+//! undetected faults for speed; a block that passes is then probed
+//! against the full remaining fault set, and the winner's probe becomes
+//! the new state, so reported coverage is exact.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -115,24 +116,34 @@ impl<'c> SequenceAtpg<'c> {
             && stale_rounds < self.config.patience
         {
             let sample = self.pick_sample(&state, &mut rng);
-            let mut best: Option<(usize, TestSequence)> = None;
+            // The best candidate so far, with the state after it when a
+            // probe simulated it in full.
+            let mut best: Option<(usize, TestSequence, Option<FaultSimState>)> = None;
             for ci in 0..self.config.candidates {
                 let cand = self.candidate(ci, &last_best, n_inputs, &mut rng);
-                // Fast sample evaluation; exact commit below.
-                let mut probe = state.clone();
-                let gained = if sample.is_empty() || sim.sample_detects(&state, &sample, &cand) {
-                    sim.advance(&mut probe, &cand)
-                } else {
-                    0
-                };
-                if best.as_ref().is_none_or(|&(b, _)| gained > b) {
-                    best = Some((gained, cand));
+                // Fast sample screening, then an exact probe on the full
+                // remaining fault set.
+                let probe =
+                    (sample.is_empty() || sim.sample_detects(&state, &sample, &cand)).then(|| {
+                        let mut probe = state.clone();
+                        let gained = sim.advance(&mut probe, &cand);
+                        (gained, probe)
+                    });
+                let gained = probe.as_ref().map_or(0, |&(g, _)| g);
+                if best.as_ref().is_none_or(|&(b, _, _)| gained > b) {
+                    best = Some((gained, cand, probe.map(|(_, p)| p)));
                 }
             }
-            let (gained, block) = best.expect("candidates > 0");
+            let (gained, block, probe) = best.expect("candidates > 0");
             // Commit the winner even when it gains nothing: walking the
-            // state space is what eventually reaches hard states.
-            sim.advance(&mut state, &block);
+            // state space is what eventually reaches hard states. A probe
+            // already holds the state after the winner; only a winner
+            // that was screened out is simulated here.
+            if let Some(probe) = probe {
+                state = probe;
+            } else {
+                sim.advance(&mut state, &block);
+            }
             t.append(&block);
             last_best = Some(block);
             if gained > 0 {

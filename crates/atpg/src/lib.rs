@@ -8,7 +8,7 @@
 //! simulation-based search): candidate input blocks are generated with
 //! varying per-input biases, fault-simulated incrementally from the
 //! current circuit state, and the block detecting the most new faults is
-//! committed. A restoration-based static compactor then shortens the
+//! committed. An omission-based static compactor then shortens the
 //! sequence while preserving its coverage.
 //!
 //! The proposed method of the paper treats `T` as an opaque input and its

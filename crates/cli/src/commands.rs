@@ -13,7 +13,7 @@ use wbist_hw::{build_generator, build_hybrid_generator, generator_cost, to_veril
 use wbist_netlist::{bench_format, circuit_stats, Circuit, FaultList, FaultModel, FaultUniverse};
 use wbist_serve::ServeConfig;
 use wbist_sim::{
-    Budget, CancelToken, FaultSim, RunOptions, SimOptions, Telemetry, TestSequence,
+    Budget, CancelToken, FaultSim, RunOptions, SimError, SimOptions, Telemetry, TestSequence,
     TruncationReason,
 };
 
@@ -319,10 +319,35 @@ fn load_circuit(path: &str) -> Result<Circuit, CliError> {
     Ok(bench_format::parse(name, &text)?)
 }
 
-fn load_sequence(path: &str) -> Result<TestSequence, CliError> {
+/// A sequence file with no vectors in it.
+#[derive(Debug)]
+struct EmptySequenceFile(String);
+
+impl fmt::Display for EmptySequenceFile {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "sequence file {} holds no vectors", self.0)
+    }
+}
+
+impl std::error::Error for EmptySequenceFile {}
+
+/// Reads a sequence file for `circuit`, rejecting a file with no rows
+/// or with rows of the wrong width before any simulator sees it.
+fn load_sequence(path: &str, circuit: &Circuit) -> Result<TestSequence, CliError> {
     let text = std::fs::read_to_string(path)?;
     let rows: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
-    Ok(TestSequence::parse_rows(&rows)?)
+    if rows.is_empty() {
+        return Err(EmptySequenceFile(path.to_string()).into());
+    }
+    let seq = TestSequence::parse_rows(&rows)?;
+    if seq.num_inputs() != circuit.num_inputs() {
+        return Err(SimError::InputWidthMismatch {
+            circuit: circuit.num_inputs(),
+            sequence: seq.num_inputs(),
+        }
+        .into());
+    }
+    Ok(seq)
 }
 
 fn cmd_stats(argv: &[String]) -> Result<(), CliError> {
@@ -421,7 +446,7 @@ fn cmd_sim(argv: &[String], g: &Globals) -> Result<(), CliError> {
         _ => return Err(usage("sim needs a .bench file and a sequence file")),
     };
     let c = load_circuit(path)?;
-    let seq = load_sequence(seq_path)?;
+    let seq = load_sequence(seq_path, &c)?;
     let faults = fault_list(&c, p.opt("model"), p.opt("fault-model"))?;
     let times = FaultSim::with_run_options(&c, &g.run)
         .query(&faults)
@@ -467,7 +492,7 @@ fn cmd_synth(argv: &[String], g: &Globals) -> Result<CmdStatus, CliError> {
 
     // Deterministic sequence: from a file or from the built-in ATPG.
     let t = match p.opt("seq") {
-        Some(sp) => load_sequence(sp)?,
+        Some(sp) => load_sequence(sp, &c)?,
         None => {
             let mut cfg = AtpgConfig::default();
             if let Some(seed) = p.opt_parse::<u64>("seed").map_err(usage)? {
@@ -616,7 +641,7 @@ fn print_hw(circuit: &Circuit, verilog: Option<&str>, bench: Option<&str>) -> Re
 /// `--seq`, or from the built-in ATPG.
 fn sequence_for(c: &Circuit, faults: &FaultList, p: &Parsed) -> Result<TestSequence, CliError> {
     match p.opt("seq") {
-        Some(sp) => load_sequence(sp),
+        Some(sp) => load_sequence(sp, c),
         None => {
             let r = SequenceAtpg::new(c, AtpgConfig::default()).run(faults);
             Ok(compact(
@@ -774,7 +799,7 @@ fn cmd_vcd(argv: &[String]) -> Result<(), CliError> {
         _ => return Err(usage("vcd needs a .bench file and a sequence file")),
     };
     let c = load_circuit(path)?;
-    let seq = load_sequence(seq_path)?;
+    let seq = load_sequence(seq_path, &c)?;
     let trace = wbist_sim::LogicSim::new(&c).trace(&seq)?;
     let vcd = wbist_sim::vcd::trace_to_vcd(&c, &trace, c.name());
     match p.opt("o") {

@@ -310,15 +310,29 @@ impl CompiledCircuit {
     /// `shared` cycles from `base` (whose input rows must match `seq` on
     /// that prefix) and simulates only the suffix, starting from the
     /// flip-flop state `base` recorded entering cycle `shared`.
+    ///
+    /// With `deleted = Some(gap)`, `seq` is the base sequence with
+    /// `gap ≥ 1` rows deleted after the shared prefix: rows `shared..`
+    /// of `seq` equal rows `shared + gap..` of the base sequence. The
+    /// suffix is then simulated only until the state entering some
+    /// cycle `u` equals the base's state entering `u + gap`; from there
+    /// the two machines apply the same inputs to the same state, so the
+    /// remaining rows are copied from `base`, shifted. A synchronizing
+    /// machine rejoins within a few cycles.
+    ///
+    /// Returns the trace, the final flip-flop state and the number of
+    /// suffix rows simulated.
     pub(crate) fn good_trace_from(
         &self,
         seq: &TestSequence,
         init_ff: &[Logic3],
         base: &GoodTrace,
         shared: usize,
-    ) -> (GoodTrace, Vec<Logic3>) {
+        deleted: Option<usize>,
+    ) -> (GoodTrace, Vec<Logic3>, usize) {
         debug_assert_eq!(init_ff.len(), self.num_dffs);
         debug_assert!(shared <= seq.len() && shared <= base.len());
+        debug_assert!(deleted.is_none_or(|gap| gap >= 1 && base.len() == seq.len() + gap));
         let words = self.num_nets.div_ceil(64);
         debug_assert_eq!(base.words, words);
         let mut trace = GoodTrace {
@@ -341,9 +355,31 @@ impl CompiledCircuit {
         };
         let mut nets = vec![Logic3::X; self.num_nets];
         for u in shared..seq.len() {
+            if let Some(gap) = deleted {
+                // The base's state entering `u + gap ≥ 1` is what its
+                // flip-flops latched at the end of the cycle before.
+                let rejoined = self
+                    .dff_d
+                    .iter()
+                    .zip(&ff)
+                    .all(|(&d, &v)| base.value(u + gap - 1, d as usize) == v);
+                if rejoined {
+                    let (from, to) = ((u + gap) * words, u * words);
+                    let rows = (seq.len() - u) * words;
+                    trace.ones[to..to + rows].copy_from_slice(&base.ones[from..from + rows]);
+                    trace.zeros[to..to + rows].copy_from_slice(&base.zeros[from..from + rows]);
+                    let last = seq.len() - 1;
+                    let ff = self
+                        .dff_d
+                        .iter()
+                        .map(|&d| trace.value(last, d as usize))
+                        .collect();
+                    return (trace, ff, u - shared);
+                }
+            }
             self.good_cycle(seq.row(u), &mut ff, &mut nets, &mut trace, u);
         }
-        (trace, ff)
+        (trace, ff, seq.len() - shared)
     }
 
     /// Cone-seeded variant of [`good_trace_from`](Self::good_trace_from):
@@ -710,10 +746,12 @@ impl GoodTrace {
 /// set (restored verbatim on resume — recomputing it by comparing
 /// planes against the good machine would drop flip-flops whose faulty
 /// planes converged while still flagged, changing `gates_evaluated`),
-/// the cumulative [`BatchStats`], and the detections recorded strictly
-/// before `cycle` (filled in by the caller, which owns detection
-/// bookkeeping). Resuming from a snapshot is therefore bit-identical to
-/// a from-scratch run, deterministic counters included.
+/// the cumulative [`BatchStats`], and how many detections were recorded
+/// strictly before `cycle` (filled in by the caller, which owns
+/// detection bookkeeping and keeps one cycle-ordered detection list per
+/// batch that every snapshot indexes a prefix of). Resuming from a
+/// snapshot is therefore bit-identical to a from-scratch run,
+/// deterministic counters included.
 #[derive(Debug, Clone)]
 pub(crate) struct BatchCkpt {
     /// The cycle the snapshot resumes at (state *entering* this cycle).
@@ -726,8 +764,9 @@ pub(crate) struct BatchCkpt {
     pub(crate) dirty_dffs: Vec<u32>,
     /// Cumulative kernel stats over cycles `0..cycle`.
     pub(crate) stats: BatchStats,
-    /// Detections `(fault index, cycle)` recorded before `cycle`.
-    pub(crate) found: Vec<(usize, usize)>,
+    /// Length of the batch's detection-list prefix recorded before
+    /// `cycle`.
+    pub(crate) found_len: usize,
 }
 
 /// Cycle interval between state snapshots: coarse enough to keep the
@@ -1466,7 +1505,7 @@ pub(crate) fn run_batch(
                     ff: ff.to_vec(),
                     dirty_dffs: dirty_dffs.clone(),
                     stats,
-                    found: Vec::new(),
+                    found_len: 0,
                 });
             }
         }
@@ -1769,7 +1808,7 @@ mod tests {
         for (rows, shared) in probes {
             let seq = TestSequence::parse_rows(&rows).unwrap();
             let (expect, expect_ff) = cc.good_trace(&seq, &[Logic3::X]);
-            let (got, got_ff) = cc.good_trace_from(&seq, &[Logic3::X], &base, shared);
+            let (got, got_ff, _) = cc.good_trace_from(&seq, &[Logic3::X], &base, shared, None);
             for u in 0..seq.len() {
                 for n in 0..c.num_nets() {
                     assert_eq!(
@@ -1797,6 +1836,38 @@ mod tests {
     }
 
     #[test]
+    fn spliced_trace_matches_full_for_every_deleted_block() {
+        let c = toy();
+        let cc = CompiledCircuit::build(&c);
+        let rows = ["00", "10", "01", "11", "10", "00", "01", "11"];
+        let base_seq = TestSequence::parse_rows(&rows).unwrap();
+        let (base, _) = cc.good_trace(&base_seq, &[Logic3::X]);
+        let mut rejoined = false;
+        for start in 0..rows.len() {
+            for gap in 1..=rows.len() - start {
+                let omit: Vec<usize> = (start..start + gap).collect();
+                let seq = base_seq.without_rows(&omit);
+                let (expect, expect_ff) = cc.good_trace(&seq, &[Logic3::X]);
+                let (got, got_ff, simulated) =
+                    cc.good_trace_from(&seq, &[Logic3::X], &base, start, Some(gap));
+                for u in 0..seq.len() {
+                    for n in 0..c.num_nets() {
+                        assert_eq!(
+                            got.planes(u, n),
+                            expect.planes(u, n),
+                            "net {n} at {u} (block {start}+{gap})"
+                        );
+                    }
+                }
+                assert_eq!(got_ff, expect_ff, "final state (block {start}+{gap})");
+                assert!(simulated <= seq.len() - start);
+                rejoined |= simulated < seq.len() - start;
+            }
+        }
+        assert!(rejoined, "some deletion must rejoin the base trace early");
+    }
+
+    #[test]
     fn good_trace_from_cone_matches_full() {
         let c = toy();
         let cc = CompiledCircuit::build(&c);
@@ -1817,7 +1888,8 @@ mod tests {
             rows.push("11".into());
             let refs: Vec<&str> = rows.iter().map(String::as_str).collect();
             let seq = TestSequence::parse_rows(&refs).unwrap();
-            let (expect, expect_ff) = cc.good_trace_from(&seq, &[Logic3::X], &base, shared);
+            let (expect, expect_ff, _) =
+                cc.good_trace_from(&seq, &[Logic3::X], &base, shared, None);
             for changed in [vec![false, true], vec![true, true]] {
                 let (got, got_ff, stats) =
                     cc.good_trace_from_cone(&seq, &[Logic3::X], &base, shared, &changed);

@@ -157,7 +157,8 @@ pub struct PreparedSequence {
     base: Option<(usize, usize)>,
     reused_cycles: usize,
     /// Whether the trace rebuild was cone-seeded (a resumed rebuild with
-    /// cone seeding enabled; full-length trace shares never rebuild).
+    /// cone seeding enabled; full-length trace shares never rebuild, and
+    /// a block deletion rejoins the cached trace instead).
     cone_seeded: bool,
     /// Good-machine gates evaluated rebuilding the suffix.
     trace_gates_evaluated: u64,
@@ -919,21 +920,23 @@ impl<'c> FaultSim<'c> {
             );
         }
         type Ckpt = Arc<compiled::BatchCkpt>;
-        type Job = (usize, Batch, Option<Ckpt>);
+        type Job<'a> = (usize, Batch, Option<(Ckpt, &'a [(usize, usize)])>);
         // Snapshots at or before each batch's resume point stay valid
         // for the new sequence and carry over into its entry; they are
         // merged back in (deterministic) batch order after the fan-out.
         let mut carry_raw: Vec<Vec<Ckpt>> = vec![Vec::new(); n_jobs];
         let mut carry_spilled: Vec<Vec<Arc<SpilledCkpt>>> = vec![Vec::new(); n_jobs];
-        let jobs: Vec<Job> = batches
+        let jobs: Vec<Job<'_>> = batches
             .into_iter()
             .enumerate()
             .map(|(bi, batch)| {
                 // Resume from the latest snapshot still inside the
                 // shared prefix; spilled snapshots are decompressed
-                // against the new trace (identical on prefix rows).
-                let resume = match arts {
-                    Some((fa, d)) => match &fa.store {
+                // against the new trace (identical on prefix rows). The
+                // skipped cycles' detections are a prefix of the batch's
+                // cycle-ordered list.
+                let resume = arts.and_then(|(fa, d)| {
+                    let ck: Option<Ckpt> = match &fa.store {
                         SnapshotStore::Raw(pb) => {
                             let list = &pb[bi];
                             let resume = list.iter().rfind(|ck| ck.cycle <= d).cloned();
@@ -958,9 +961,12 @@ impl<'c> FaultSim<'c> {
                             }
                             spill.map(|s| Arc::new(s.restore(trace, &self.compiled.dff_d)))
                         }
-                    },
-                    None => None,
-                };
+                    };
+                    ck.map(|ck| {
+                        let prior = &fa.found[bi][..ck.found_len];
+                        (ck, prior)
+                    })
+                });
                 (bi, batch, resume)
             })
             .collect();
@@ -978,13 +984,13 @@ impl<'c> FaultSim<'c> {
                 // resume path: it replays the batch from scratch and
                 // captures no snapshots.
                 let (mut ff, from) = match (&resume, reference) {
-                    (Some(ck), false) => (ck.ff.clone(), Some(&**ck)),
+                    (Some((ck, prior)), false) => (ck.ff.clone(), Some((&**ck, *prior))),
                     _ => (vec![Planes::ALL_X; num_dffs], None),
                 };
-                if let Some(ck) = from {
+                if let Some((ck, prior)) = from {
                     // Detections and budget charge of the skipped prefix
                     // carry over, so query totals match from-scratch.
-                    found.extend_from_slice(&ck.found);
+                    found.extend_from_slice(prior);
                     if self.cancel.is_armed() {
                         self.cancel.charge_fault_cycles(ck.stats.fault_cycles);
                     }
@@ -1004,7 +1010,7 @@ impl<'c> FaultSim<'c> {
                     None,
                     &mut ff,
                     scratch,
-                    from,
+                    from.map(|(ck, _)| ck),
                     snap,
                     |u, ctx: &CycleCtx<'_>| {
                         let detected_now = ctx.obs_diff & ctx.live;
@@ -1016,10 +1022,11 @@ impl<'c> FaultSim<'c> {
                         (detected_now, false)
                     },
                 );
-                let skipped = from.map_or(0, |ck| ck.cycle as u64);
+                let skipped = from.map_or(0, |(ck, _)| ck.cycle as u64);
                 // Raw snapshots move to the merge loop, which owns the
-                // found-filter and (on the spill tier) compression; a
-                // reference retry forfeits capture entirely.
+                // detection-prefix lengths and (on the spill tier)
+                // compression; a reference retry forfeits capture
+                // entirely.
                 (found, stats, (!reference).then_some(snaps), skipped)
             })
         });
@@ -1028,22 +1035,22 @@ impl<'c> FaultSim<'c> {
         let mut dropped = 0usize;
         let mut raw_store: Vec<Vec<Ckpt>> = Vec::new();
         let mut spill_store: Vec<Vec<Arc<SpilledCkpt>>> = Vec::new();
+        let mut found_store: Vec<Vec<(usize, usize)>> = Vec::new();
         let mut snapshot_spills = 0u64;
         let mut resumed_cycles = 0u64;
         for (bi, (found, bstats, captured, skipped)) in per_batch.into_iter().enumerate() {
             stats.merge(bstats);
             dropped += found.len();
-            // Each stored snapshot keeps only the detections strictly
-            // before its cycle, so a resume replays the rest verbatim.
+            // `found` is in cycle order, so each stored snapshot records
+            // the length of its prefix strictly before its cycle and a
+            // resume replays the rest verbatim. Carried snapshots keep
+            // their lengths: the resumed run copied that prefix first.
+            let before = |cycle: usize| found.partition_point(|&(_, u)| u < cycle);
             match (capture, captured) {
                 (Capture::Raw, Some(snaps)) => {
                     let mut list = std::mem::take(&mut carry_raw[bi]);
                     list.extend(snaps.into_iter().map(|mut s| {
-                        s.found = found
-                            .iter()
-                            .filter(|&&(_, u)| u < s.cycle)
-                            .copied()
-                            .collect();
+                        s.found_len = before(s.cycle);
                         Arc::new(s)
                     }));
                     raw_store.push(list);
@@ -1051,11 +1058,7 @@ impl<'c> FaultSim<'c> {
                 (Capture::Spill, Some(snaps)) => {
                     let mut list = std::mem::take(&mut carry_spilled[bi]);
                     for mut s in snaps {
-                        s.found = found
-                            .iter()
-                            .filter(|&&(_, u)| u < s.cycle)
-                            .copied()
-                            .collect();
+                        s.found_len = before(s.cycle);
                         snapshot_spills += 1;
                         list.push(Arc::new(SpilledCkpt::compress(
                             &s,
@@ -1071,8 +1074,11 @@ impl<'c> FaultSim<'c> {
                 (Capture::Spill, None) => spill_store.push(Vec::new()),
                 _ => {}
             }
-            for (gi, u) in found {
+            for &(gi, u) in &found {
                 times[gi] = Some(u);
+            }
+            if capture_on {
+                found_store.push(found);
             }
             resumed_cycles += skipped;
         }
@@ -1082,14 +1088,22 @@ impl<'c> FaultSim<'c> {
             Capture::Raw => Some(FaultyArtifacts {
                 fingerprint,
                 store: SnapshotStore::Raw(raw_store),
+                found: found_store,
             }),
             Capture::Spill => {
-                snapshot_bytes =
-                    prefix::enforce_spill_budget(&mut spill_store, prefix::SPILL_BYTE_BUDGET)
-                        as u64;
+                // The detection lists stay whole: the budget evicts
+                // snapshots only.
+                let found_bytes = found_store.iter().map(Vec::len).sum::<usize>()
+                    * std::mem::size_of::<(usize, usize)>();
+                snapshot_bytes = (found_bytes
+                    + prefix::enforce_spill_budget(
+                        &mut spill_store,
+                        prefix::SPILL_BYTE_BUDGET.saturating_sub(found_bytes),
+                    )) as u64;
                 Some(FaultyArtifacts {
                     fingerprint,
                     store: SnapshotStore::Spilled(spill_store),
+                    found: found_store,
                 })
             }
             Capture::Off | Capture::Denied => None,
@@ -1154,7 +1168,10 @@ impl<'c> FaultSim<'c> {
     /// Computes the good-machine trace of `seq` once for a screen +
     /// dense query pair, resuming from the cached sequence sharing the
     /// longest input prefix (when `cache` holds one) instead of
-    /// simulating from cycle 0.
+    /// simulating from cycle 0. When `seq` is the cached sequence with
+    /// one block of rows deleted, the suffix is simulated only until the
+    /// machine's state rejoins the cached trace; the remaining rows are
+    /// copied.
     ///
     /// The reference kernel ignores the cache entirely — it is the
     /// differential oracle and must keep recomputing everything.
@@ -1181,12 +1198,24 @@ impl<'c> FaultSim<'c> {
                 // sequence: share the trace outright.
                 let (trace, cone_seeded, stats) = if d == seq.len() && base.trace.len() == d {
                     (base.trace.clone(), false, compiled::TraceStats::default())
+                } else if let Some(gap) = prefix::deleted_rows(&base.seq, seq, d) {
+                    // The cached sequence minus one block of rows (a
+                    // compaction trial): simulate until the machine
+                    // rejoins the cached trace, then copy the rest.
+                    let (trace, _, rows) =
+                        self.compiled
+                            .good_trace_from(seq, &init, &base.trace, d, Some(gap));
+                    let stats = compiled::TraceStats::full((self.compiled.num_gates * rows) as u64);
+                    (Arc::new(trace), false, stats)
                 } else if self.options.no_cone_seeding {
                     // Full-divergence resume: every suffix gate rescanned.
                     let stats = compiled::TraceStats::full(
                         (self.compiled.num_gates * (seq.len() - d)) as u64,
                     );
-                    let trace = self.compiled.good_trace_from(seq, &init, &base.trace, d).0;
+                    let trace = self
+                        .compiled
+                        .good_trace_from(seq, &init, &base.trace, d, None)
+                        .0;
                     (Arc::new(trace), false, stats)
                 } else {
                     // Cone-seeded resume: only the changed input

@@ -22,10 +22,11 @@
 //! the deterministic telemetry counters: every snapshot stores the
 //! complete kernel state at a cycle boundary — live mask, flip-flop
 //! planes, the explicit dirty-flip-flop set, cumulative batch stats,
-//! and the detections found so far — so a resumed batch replays
-//! exactly the suffix the
-//! from-scratch run would have executed and credits exactly the stats it
-//! would have accumulated. The dirty set is restored explicitly rather
+//! and how many entries of the batch's cycle-ordered detection list
+//! were found so far (the list itself is kept once per batch) — so a
+//! resumed batch replays exactly the suffix the from-scratch run would
+//! have executed and credits exactly the stats it would have
+//! accumulated. The dirty set is restored explicitly rather
 //! than recomputed: a flip-flop whose faulty planes happen to agree with
 //! the good machine can still be flagged dirty mid-run (it goes clean
 //! only at its next examination), and recomputing the flags would skip
@@ -34,9 +35,17 @@
 //! Faulty-plane artifacts are keyed by a fingerprint of the fault list
 //! they were simulated against; a query over a different list (the
 //! screening sample, say) reuses only the good trace. The cache itself
-//! is a plain value owned by the selection loop — it is never persisted
-//! to checkpoints, never hashed into the run configuration, and cleared
-//! whenever the segment snapshot it was built under changes.
+//! is a plain value owned by its caller — it is never persisted to
+//! checkpoints and never hashed into a run configuration. Two callers
+//! own one:
+//!
+//! * the selection loop of `wbist-core`, which clears it whenever the
+//!   segment snapshot it was built under changes, and
+//! * static compaction in `wbist-atpg`, which keeps the current
+//!   sequence as its only entry. A trial omits one block of rows, so it
+//!   resumes from the shared prefix, and its good trace rejoins the
+//!   cached one once the machine resynchronizes (see
+//!   `deleted_rows`).
 
 use std::sync::Arc;
 
@@ -79,8 +88,9 @@ pub(crate) struct SpilledCkpt {
     pub(crate) dirty_dffs: Vec<u32>,
     /// Cumulative kernel stats over cycles `0..cycle`.
     pub(crate) stats: BatchStats,
-    /// Detections `(fault index, cycle)` recorded before `cycle`.
-    pub(crate) found: Vec<(usize, usize)>,
+    /// Length of the batch's detection-list prefix recorded before
+    /// `cycle`.
+    pub(crate) found_len: usize,
     /// Flip-flop count of the raw checkpoint (bitmap padding excluded).
     num_dffs: usize,
     /// Bit `k`: flip-flop `k`'s planes are exactly all-`X`.
@@ -129,7 +139,7 @@ impl SpilledCkpt {
             live: ck.live,
             dirty_dffs: ck.dirty_dffs.clone(),
             stats: ck.stats,
-            found: ck.found.clone(),
+            found_len: ck.found_len,
             num_dffs: ck.ff.len(),
             x_bits,
             good_bits,
@@ -165,7 +175,7 @@ impl SpilledCkpt {
             ff,
             dirty_dffs: self.dirty_dffs.clone(),
             stats: self.stats,
-            found: self.found.clone(),
+            found_len: self.found_len,
         }
     }
 
@@ -173,7 +183,6 @@ impl SpilledCkpt {
     pub(crate) fn bytes(&self) -> usize {
         std::mem::size_of::<SpilledCkpt>()
             + self.dirty_dffs.len() * std::mem::size_of::<u32>()
-            + self.found.len() * std::mem::size_of::<(usize, usize)>()
             + (self.x_bits.len() + self.good_bits.len()) * 8
             + self.deltas.len() * std::mem::size_of::<Planes>()
     }
@@ -244,6 +253,11 @@ pub(crate) struct FaultyArtifacts {
     pub(crate) fingerprint: u64,
     /// Snapshots per batch.
     pub(crate) store: SnapshotStore,
+    /// Per batch, the capturing run's detections `(fault index, cycle)`
+    /// in cycle order. Every snapshot of the batch records only the
+    /// length of the prefix found before its cycle, so the list is
+    /// stored once instead of once per snapshot.
+    pub(crate) found: Vec<Vec<(usize, usize)>>,
 }
 
 /// One cached sequence with its good trace and optional faulty state.
@@ -364,6 +378,22 @@ pub(crate) fn changed_streams(
         }
     }
     changed
+}
+
+/// How many rows `probe` lacks when it is `owner` with one block of
+/// rows deleted after their shared prefix `from` — the shape of a
+/// static-compaction trial: `Some(gap)` when `owner` is `gap ≥ 1` rows
+/// longer and `probe`'s rows `from..` equal `owner`'s rows
+/// `from + gap..`, else `None`.
+pub(crate) fn deleted_rows(
+    owner: &TestSequence,
+    probe: &TestSequence,
+    from: usize,
+) -> Option<usize> {
+    let gap = owner.len().checked_sub(probe.len()).filter(|&g| g > 0)?;
+    (from..probe.len())
+        .all(|u| owner.row(u + gap) == probe.row(u))
+        .then_some(gap)
 }
 
 /// Number of leading time units on which `a` and `b` apply identical
@@ -506,6 +536,19 @@ mod tests {
     }
 
     #[test]
+    fn deleted_rows_recognizes_one_omitted_block() {
+        let owner = seq(&["00", "01", "10", "11", "01"]);
+        // Rows 1..3 omitted: the suffix realigns two rows later.
+        assert_eq!(deleted_rows(&owner, &seq(&["00", "11", "01"]), 1), Some(2));
+        // A tail omission leaves nothing to realign.
+        assert_eq!(deleted_rows(&owner, &seq(&["00", "01", "10"]), 3), Some(2));
+        // Same length, longer, or a changed row: not a deletion.
+        assert_eq!(deleted_rows(&owner, &owner, 5), None);
+        assert_eq!(deleted_rows(&seq(&["00"]), &owner, 1), None);
+        assert_eq!(deleted_rows(&owner, &seq(&["00", "11", "00"]), 1), None);
+    }
+
+    #[test]
     fn changed_streams_flags_only_diverging_inputs() {
         let a = seq(&["00", "01", "10"]);
         let b = seq(&["00", "11", "10"]);
@@ -540,7 +583,7 @@ mod tests {
                     ff: vec![ffv],
                     dirty_dffs: vec![0],
                     stats: BatchStats::default(),
-                    found: vec![(7, 0)],
+                    found_len: 1,
                 };
                 let sp = SpilledCkpt::compress(&ck, &t, &cc.dff_d);
                 let back = sp.restore(&t, &cc.dff_d);
@@ -548,7 +591,7 @@ mod tests {
                 assert_eq!(back.cycle, ck.cycle);
                 assert_eq!(back.live, ck.live);
                 assert_eq!(back.dirty_dffs, ck.dirty_dffs);
-                assert_eq!(back.found, ck.found);
+                assert_eq!(back.found_len, ck.found_len);
             }
         }
     }
@@ -570,7 +613,7 @@ mod tests {
                 ff: vec![Planes::ALL_X],
                 dirty_dffs: Vec::new(),
                 stats: BatchStats::default(),
-                found: Vec::new(),
+                found_len: 0,
             };
             Arc::new(SpilledCkpt::compress(&ck, &t, &cc.dff_d))
         };
