@@ -49,8 +49,6 @@ pub const USAGE: &str = "usage:
       --fault-model F fault model: stuck-at (default) | transition
                       (podem is stuck-at only)
       --kernel K      fault-sim kernel: compiled (default) | reference
-      --speculation K synth candidate wavefront width (default 1);
-                      results are bit-identical at every width
       --trace FILE    write a deterministic JSON telemetry trace
       --progress      print a phase-timing summary to stderr
   run control (budgets apply to any command; checkpoints to synth):
@@ -120,8 +118,6 @@ pub struct Globals {
     pub checkpoint: Option<String>,
     /// `--resume FILE`: continue a truncated synth run (synth only).
     pub resume: Option<String>,
-    /// `--speculation K`: synthesis candidate wavefront width.
-    pub speculation: usize,
 }
 
 /// Strips the global options (`--threads N`, `--trace FILE`,
@@ -137,7 +133,6 @@ fn extract_globals(argv: &[String]) -> Result<(Vec<String>, Globals), CliError> 
     let mut budget = Budget::default();
     let mut checkpoint: Option<String> = None;
     let mut resume: Option<String> = None;
-    let mut speculation: usize = 1;
     let mut it = argv.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -212,18 +207,6 @@ fn extract_globals(argv: &[String]) -> Result<(Vec<String>, Globals), CliError> 
                 let v = it.next().ok_or_else(|| usage("--resume needs a path"))?;
                 resume = Some(v.clone());
             }
-            "--speculation" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| usage("--speculation needs a value"))?;
-                let n: usize = v
-                    .parse()
-                    .map_err(|_| usage(format!("--speculation: cannot parse `{v}`")))?;
-                if n == 0 {
-                    return Err(usage("--speculation must be at least 1"));
-                }
-                speculation = n;
-            }
             _ => rest.push(a.clone()),
         }
     }
@@ -254,7 +237,6 @@ fn extract_globals(argv: &[String]) -> Result<(Vec<String>, Globals), CliError> 
             progress,
             checkpoint,
             resume,
-            speculation,
         },
     ))
 }
@@ -486,6 +468,7 @@ fn cmd_synth(argv: &[String], g: &Globals) -> Result<CmdStatus, CliError> {
         ],
     )
     .map_err(usage)?;
+    let lg = lg_option(&p)?;
     let path = p.pos(0).ok_or_else(|| usage("synth needs a .bench file"))?;
     let c = load_circuit(path)?;
     let faults = fault_list(&c, p.opt("model"), p.opt("fault-model"))?;
@@ -509,14 +492,10 @@ fn cmd_synth(argv: &[String], g: &Globals) -> Result<CmdStatus, CliError> {
         }
     };
 
-    let l_g = p
-        .opt_parse::<usize>("lg")
-        .map_err(usage)?
-        .unwrap_or_else(|| (2 * t.len()).max(256));
+    let l_g = lg.unwrap_or_else(|| (2 * t.len()).max(256));
     let random_sessions = p.opt_parse::<usize>("random").map_err(usage)?.unwrap_or(0);
     let syn_cfg = SynthesisConfig {
         sequence_length: l_g,
-        speculation: g.speculation,
         run: g.run.clone(),
         ..SynthesisConfig::default()
     };
@@ -637,6 +616,15 @@ fn print_hw(circuit: &Circuit, verilog: Option<&str>, bench: Option<&str>) -> Re
     Ok(())
 }
 
+/// `--lg N`, rejected when zero: the walk needs at least one cycle of
+/// `T_G` to simulate.
+fn lg_option(p: &Parsed) -> Result<Option<usize>, CliError> {
+    match p.opt_parse::<usize>("lg").map_err(usage)? {
+        Some(0) => Err(usage("--lg must be at least 1")),
+        lg => Ok(lg),
+    }
+}
+
 /// Produces the deterministic sequence for commands that need one: from
 /// `--seq`, or from the built-in ATPG.
 fn sequence_for(c: &Circuit, faults: &FaultList, p: &Parsed) -> Result<TestSequence, CliError> {
@@ -656,21 +644,18 @@ fn sequence_for(c: &Circuit, faults: &FaultList, p: &Parsed) -> Result<TestSeque
 
 fn cmd_obs(argv: &[String], g: &Globals) -> Result<(), CliError> {
     let p = parse(argv, &["seq", "lg", "model", "fault-model"]).map_err(usage)?;
+    let lg = lg_option(&p)?;
     let path = p.pos(0).ok_or_else(|| usage("obs needs a .bench file"))?;
     let c = load_circuit(path)?;
     let faults = fault_list(&c, p.opt("model"), p.opt("fault-model"))?;
     let t = sequence_for(&c, &faults, &p)?;
-    let l_g = p
-        .opt_parse::<usize>("lg")
-        .map_err(usage)?
-        .unwrap_or_else(|| (2 * t.len()).max(256));
+    let l_g = lg.unwrap_or_else(|| (2 * t.len()).max(256));
     let r = synthesize_weighted_bist(
         &c,
         &t,
         &faults,
         &SynthesisConfig {
             sequence_length: l_g,
-            speculation: g.speculation,
             run: g.run.clone(),
             ..SynthesisConfig::default()
         },
@@ -702,23 +687,20 @@ fn cmd_session(argv: &[String], g: &Globals) -> Result<(), CliError> {
         &["seq", "lg", "misr", "capture", "model", "fault-model"],
     )
     .map_err(usage)?;
+    let lg = lg_option(&p)?;
     let path = p
         .pos(0)
         .ok_or_else(|| usage("session needs a .bench file"))?;
     let c = load_circuit(path)?;
     let faults = fault_list(&c, p.opt("model"), p.opt("fault-model"))?;
     let t = sequence_for(&c, &faults, &p)?;
-    let l_g = p
-        .opt_parse::<usize>("lg")
-        .map_err(usage)?
-        .unwrap_or_else(|| (2 * t.len()).max(256));
+    let l_g = lg.unwrap_or_else(|| (2 * t.len()).max(256));
     let r = synthesize_weighted_bist(
         &c,
         &t,
         &faults,
         &SynthesisConfig {
             sequence_length: l_g,
-            speculation: g.speculation,
             run: g.run.clone(),
             ..SynthesisConfig::default()
         },
@@ -1074,6 +1056,21 @@ mod tests {
             dispatch(&argv(&["stats", "/nonexistent/x.bench"])),
             Err(CliError::Run(_))
         ));
+    }
+
+    #[test]
+    fn zero_lg_is_a_usage_error_for_every_synthesis_command() {
+        let dir = std::env::temp_dir().join(format!("wbist-lg0-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("tempdir");
+        let bench = dir.join("s27.bench");
+        dispatch(&argv(&["gen", "s27", "-o", bench.to_str().expect("utf8")])).expect("gen");
+        for cmd in ["synth", "obs", "session"] {
+            match dispatch(&argv(&[cmd, bench.to_str().expect("utf8"), "--lg", "0"])) {
+                Err(CliError::Usage(msg)) => assert!(msg.contains("--lg"), "{cmd}: {msg}"),
+                other => panic!("{cmd}: expected usage error, got {other:?}"),
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

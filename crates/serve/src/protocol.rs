@@ -8,7 +8,8 @@
 //!
 //! Parsing is strict about types but lenient about unknown fields:
 //! extra keys are ignored so clients can annotate requests for their
-//! own bookkeeping.
+//! own bookkeeping. That includes keys older clients still send, such
+//! as the removed `speculation` width of synth jobs.
 
 use std::fmt;
 use wbist_sim::Budget;
@@ -67,8 +68,6 @@ pub struct JobSpec {
     pub seed: u64,
     /// `L_G` override for synth jobs.
     pub lg: Option<usize>,
-    /// Speculation width for synth jobs (default 1).
-    pub speculation: usize,
     /// Per-job resource budget; unlimited fields never trip.
     pub budget: Budget,
 }
@@ -229,7 +228,14 @@ pub fn parse_request(line: &str) -> Result<Request, ProtocolError> {
                 budget = budget.fault_cycles(fc);
             }
             if let Some(ma) = opt_u64(&v, "max_assignments")? {
+                if ma == 0 {
+                    return Err(bad("`max_assignments` must be at least 1"));
+                }
                 budget = budget.max_assignments(ma as usize);
+            }
+            let lg = opt_u64(&v, "lg")?;
+            if lg == Some(0) {
+                return Err(bad("`lg` (L_G) must be at least 1"));
             }
             Ok(Request::Submit(JobSpec {
                 id,
@@ -244,8 +250,7 @@ pub fn parse_request(line: &str) -> Result<Request, ProtocolError> {
                 circuit: str_field(&v, "circuit")?,
                 rows,
                 seed: opt_u64(&v, "seed")?.unwrap_or(1),
-                lg: opt_u64(&v, "lg")?.map(|n| n as usize),
-                speculation: opt_u64(&v, "speculation")?.unwrap_or(1) as usize,
+                lg: lg.map(|n| n as usize),
                 budget,
             }))
         }
@@ -274,8 +279,9 @@ mod tests {
 
     #[test]
     fn submit_parses_budget_and_defaults() {
+        // The unknown `speculation` key (a removed option) is ignored.
         let req = parse_request(
-            r#"{"op":"submit","id":"j1","kind":"synth","circuit":"s27","fault_cycles":5000,"wall_secs":1.5}"#,
+            r#"{"op":"submit","id":"j1","kind":"synth","circuit":"s27","fault_cycles":5000,"wall_secs":1.5,"speculation":4}"#,
         )
         .unwrap();
         let Request::Submit(spec) = req else {
@@ -298,6 +304,8 @@ mod tests {
             r#"{"op":"submit","id":"has space","kind":"synth","circuit":"c"}"#,
             r#"{"op":"submit","id":"j","kind":"warp","circuit":"c"}"#,
             r#"{"op":"submit","id":"j","kind":"sim","circuit":"c"}"#,
+            r#"{"op":"submit","id":"j","kind":"synth","circuit":"c","lg":0}"#,
+            r#"{"op":"submit","id":"j","kind":"synth","circuit":"c","max_assignments":0}"#,
             r#"{"op":"register","name":"c"}"#,
             r#"{"op":"register","name":"c","builtin":"s27","bench":"x"}"#,
             r#"{"op":"nope"}"#,

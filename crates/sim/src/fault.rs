@@ -518,19 +518,6 @@ impl<'c> FaultSim<'c> {
         self
     }
 
-    /// A clone of this simulator sharing the compiled circuit (an `Arc`
-    /// bump, no recompilation) but recording into `telemetry` and pinned
-    /// to `threads` batch-level workers. The synthesis wavefront hands
-    /// one of these to each speculation worker so every candidate's
-    /// counters land in a private handle that can be merged in commit
-    /// order.
-    pub fn worker_clone(&self, telemetry: Telemetry, threads: usize) -> FaultSim<'c> {
-        let mut sim = self.clone();
-        sim.options.threads = Some(threads.max(1));
-        sim.telemetry = telemetry;
-        sim
-    }
-
     /// The circuit being simulated.
     pub fn circuit(&self) -> &'c Circuit {
         self.circuit
@@ -1542,8 +1529,7 @@ impl<'q, 'c> Query<'q, 'c> {
     /// Indices (into the queried fault list, ascending) of the detected
     /// faults.
     ///
-    /// This is the snapshot-safe query the synthesis wavefront uses:
-    /// detection of a fault by a sequence does not depend on any other
+    /// Detection of a fault by a sequence does not depend on any other
     /// fault's status, so the returned set computed against a frozen
     /// fault list stays valid when it is intersected with a later state.
     pub fn detected_indices(self) -> Vec<usize> {

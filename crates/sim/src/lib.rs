@@ -14,8 +14,8 @@
 //!   stuck-at and transition-delay faults); all one-shot questions go
 //!   through the [`FaultSim::query`] builder.
 //! * [`pool`] — the single work-stealing pool that every parallel
-//!   fan-out in the workspace (sim batches, speculative candidate
-//!   evaluation, session fault jobs) dispatches through.
+//!   fan-out in the workspace (sim batches, session fault jobs)
+//!   dispatches through.
 //!
 //! # Detection semantics
 //!

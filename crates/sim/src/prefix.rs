@@ -270,9 +270,9 @@ pub(crate) struct CacheEntry {
 
 /// An entry ready to be installed into a [`PrefixTraceCache`], produced
 /// by the prepared queries of [`FaultSim`](crate::FaultSim). Opaque to
-/// callers: the selection loop decides *when* committed results enter
-/// the cache (commit order makes the cache state deterministic), the
-/// simulator decides *what* is worth keeping.
+/// callers: the caller decides *when* an evaluation enters the cache
+/// (the selection loop installs each candidate it does not keep, in rank
+/// order), the simulator decides *what* is worth keeping.
 #[derive(Debug)]
 pub struct CacheInstall {
     pub(crate) seq: TestSequence,
@@ -310,7 +310,7 @@ impl PrefixTraceCache {
         self.entries.is_empty()
     }
 
-    /// Installs a committed evaluation. An identical sequence refreshes
+    /// Installs an evaluation. An identical sequence refreshes
     /// its entry in place (keeping previously captured faulty artifacts
     /// when the new install carries none); otherwise the entry is
     /// appended and the oldest entry beyond the cap is evicted.

@@ -1,14 +1,17 @@
 #!/usr/bin/env bash
 # Measures selection-loop synthesis wall-clock and candidates per second
-# across speculation widths and writes BENCH_select.json at the repo root.
+# and writes BENCH_select.json at the repo root.
 #
 # Usage: scripts/bench_select.sh [--circuits s1196,s5378,s35932]
-#                                [--widths 1,4,8] [--threads N]
+#                                [--threads N] [--fault-model M]
 #                                [--t-len N] [--lg N] [--keep-every N]
-#                                [--reps N] [--width-sweep] [--golden]
+#                                [--reps N] [--golden]
+#                                [--no-prefix-cache] [--no-cone-seeding]
 # Extra arguments are forwarded to the synth_bench binary. The committed
-# BENCH_select.json is regenerated with:
-#   scripts/bench_select.sh --circuits s1196,s5378,s35932 --width-sweep --widths 1,4
+# BENCH_select.json predates the removal of the speculation width and
+# still carries its columns; perfbench (perfbench/README.md) is the
+# maintained benchmark. A fresh file comes from:
+#   scripts/bench_select.sh --circuits s1196,s5378,s35932
 set -euo pipefail
 
 cd "$(dirname "$0")/.."

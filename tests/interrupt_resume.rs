@@ -22,23 +22,6 @@ const T_LEN: usize = 48;
 const L_G: usize = 64;
 
 fn interrupt_resume_roundtrip(name: &str, keep_every: usize) {
-    interrupt_resume_roundtrip_with(name, keep_every, 1, 1);
-}
-
-/// The roundtrip, with explicit speculation widths for the interrupted
-/// runs (`cut_width`) and the resumed runs (`resume_width`). With
-/// `cut_width > 1` the fault-cycle budgets land *mid-wavefront*: the
-/// commit loop stops at the first cancelled evaluation and discards the
-/// rest of the wave. Checkpoints record only committed ranks and the
-/// configuration hash excludes the width, so a run cut at one width must
-/// resume bit-identically at any other — the reference run is always the
-/// plain sequential walk.
-fn interrupt_resume_roundtrip_with(
-    name: &str,
-    keep_every: usize,
-    cut_width: usize,
-    resume_width: usize,
-) {
     let c = benchmark(name);
     let faults = FaultList::checkpoints(&c);
     let t = lfsr_sequence(&c, T_LEN);
@@ -47,9 +30,7 @@ fn interrupt_resume_roundtrip_with(
         sequence_length: L_G,
         ..SynthesisConfig::default()
     };
-    let dir = scratch_dir(&format!(
-        "interrupt-resume-{name}-{cut_width}-{resume_width}"
-    ));
+    let dir = scratch_dir(&format!("interrupt-resume-{name}"));
 
     // The uninterrupted reference run, writing checkpoints like the
     // interrupted runs do so the checkpoint counters are comparable.
@@ -79,7 +60,6 @@ fn interrupt_resume_roundtrip_with(
         let ckpt = dir.join(format!("cut-{budget_fc}.ckpt"));
         let cut = Synthesis::new(&c, &t, &faults)
             .config(SynthesisConfig {
-                speculation: cut_width,
                 run: RunOptions::default().telemetry(Telemetry::enabled()),
                 ..cfg.clone()
             })
@@ -102,7 +82,6 @@ fn interrupt_resume_roundtrip_with(
         let resumed_tel = Telemetry::enabled();
         let resumed = Synthesis::new(&c, &t, &faults)
             .config(SynthesisConfig {
-                speculation: resume_width,
                 run: RunOptions::default().telemetry(resumed_tel.clone()),
                 ..cfg.clone()
             })
@@ -141,22 +120,6 @@ fn s1196_interrupt_resume_is_bit_identical() {
 #[test]
 fn s5378_interrupt_resume_is_bit_identical() {
     interrupt_resume_roundtrip("s5378", 120);
-}
-
-/// Fault-cycle budgets land mid-wavefront at width 4; resuming at the
-/// same width must converge to the sequential reference.
-#[test]
-fn s1196_speculative_interrupt_resume_is_bit_identical() {
-    interrupt_resume_roundtrip_with("s1196", 20, 4, 4);
-}
-
-/// A checkpoint written by a speculative run resumes bit-identically on
-/// a sequential one (the width is excluded from the config hash), and
-/// the other way around.
-#[test]
-fn s1196_checkpoints_are_portable_across_widths() {
-    interrupt_resume_roundtrip_with("s1196", 20, 4, 1);
-    interrupt_resume_roundtrip_with("s1196", 20, 1, 4);
 }
 
 /// Cooperative cancellation inside the simulation kernel on s5378: a

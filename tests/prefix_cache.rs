@@ -2,17 +2,19 @@
 //!
 //! The cache (`SynthesisConfig::prefix_cache`) resumes candidate
 //! evaluations from the longest shared sequence prefix of an earlier
-//! committed evaluation — good-machine trace and checkpointed
-//! faulty-plane state both. Like speculation it is a wall-clock
-//! optimization only: `Ω`, the detection/abandonment flags, and every
-//! deterministic telemetry counter must be bit-identical with the cache
-//! on or off, at every worker count and wavefront width, and across an
-//! interrupt/resume boundary (the cache is rebuilt from nothing on
-//! resume and is deliberately excluded from the checkpoint
-//! configuration hash).
+//! evaluation — good-machine trace and checkpointed faulty-plane state
+//! both. It is a wall-clock optimization only: `Ω`, the
+//! detection/abandonment flags, and every deterministic telemetry
+//! counter must be bit-identical with the cache on or off, at every
+//! worker count, and across an interrupt/resume boundary (the cache is
+//! rebuilt from nothing on resume and is deliberately excluded from the
+//! checkpoint configuration hash). The selection walk is sequential, so
+//! even the prefix-reuse figures in the effort space are a pure function
+//! of the walk and must not move with the worker count.
 
 use proptest::prelude::*;
 use wbist::atpg::Lfsr;
+use wbist::circuits::structured::sequence_lock;
 use wbist::circuits::{s27, synthetic, SyntheticSpec};
 use wbist::core::{
     Budget, Checkpoint, RunControl, RunOptions, Synthesis, SynthesisConfig, SynthesisResult,
@@ -23,9 +25,16 @@ use wbist::sim::{FaultSim, PrefixTraceCache, SimOptions, TestSequence};
 
 type Counters = Vec<(String, u64)>;
 
+/// The prefix-reuse figures of a synthesis run (effort space).
+const REUSE_FIGURES: [&str; 4] = [
+    "select.prefix_hits",
+    "select.cycles_skipped",
+    "select.cone_seeded",
+    "select.trace_gates_evaluated",
+];
+
 /// One synthesis run; returns the result, the deterministic counter
-/// snapshot, and the width-dependent prefix-reuse effort figures.
-#[allow(clippy::too_many_arguments)]
+/// snapshot, and the [`REUSE_FIGURES`].
 fn run_once(
     c: &Circuit,
     t: &TestSequence,
@@ -33,12 +42,10 @@ fn run_once(
     pre: Option<&[bool]>,
     base: &SynthesisConfig,
     threads: usize,
-    width: usize,
     cache: bool,
-) -> (SynthesisResult, Counters, u64, u64) {
+) -> (SynthesisResult, Counters, [u64; 4]) {
     let tel = Telemetry::enabled();
     let cfg = SynthesisConfig {
-        speculation: width,
         prefix_cache: cache,
         run: RunOptions::with_threads(threads).telemetry(tel.clone()),
         ..base.clone()
@@ -48,12 +55,10 @@ fn run_once(
         synth = synth.already_detected(pre);
     }
     let result = synth.run();
-    let counters = tel.counters();
     (
         result,
-        counters,
-        tel.effort("select.prefix_hits"),
-        tel.effort("select.cycles_skipped"),
+        tel.counters(),
+        REUSE_FIGURES.map(|name| tel.effort(name)),
     )
 }
 
@@ -74,6 +79,42 @@ fn assert_identical(
     assert_eq!(candidate.1, reference.1, "{label}: deterministic counters");
 }
 
+/// Cache on at 1, 2 and 4 worker threads against the cache-free
+/// single-thread walk: bit-identical results and deterministic counters,
+/// nonzero reuse, and the same [`REUSE_FIGURES`] at every thread count.
+/// Returns the cache-free reference result.
+fn assert_cache_invisible_and_nonzero(
+    c: &Circuit,
+    t: &TestSequence,
+    faults: &FaultList,
+    pre: &[bool],
+    base: &SynthesisConfig,
+) -> SynthesisResult {
+    let (r0, c0, off) = run_once(c, t, faults, Some(pre), base, 1, false);
+    assert_eq!(off, [0; 4], "cache off cannot reuse");
+    let reference = (r0, c0);
+    let mut reuse_at_one_thread: Option<[u64; 4]> = None;
+    for threads in [1usize, 2, 4] {
+        let (r, counters, reuse) = run_once(c, t, faults, Some(pre), base, threads, true);
+        assert_identical(
+            &format!("cache on, threads={threads}"),
+            &reference,
+            &(r, counters),
+        );
+        let [hits, skipped, _, _] = reuse;
+        assert!(
+            hits > 0 && skipped > 0,
+            "threads={threads}: the cache must fire; hits={hits} skipped={skipped}"
+        );
+        let want = *reuse_at_one_thread.get_or_insert(reuse);
+        assert_eq!(
+            reuse, want,
+            "threads={threads}: {REUSE_FIGURES:?} must not depend on the thread count"
+        );
+    }
+    reference.0
+}
+
 fn s1196_setup() -> (Circuit, TestSequence, FaultList, Vec<bool>, SynthesisConfig) {
     let c = synthetic::by_name("s1196").expect("known benchmark");
     let faults = FaultList::checkpoints(&c);
@@ -86,44 +127,49 @@ fn s1196_setup() -> (Circuit, TestSequence, FaultList, Vec<bool>, SynthesisConfi
     (c, t, faults, pre, base)
 }
 
-/// Cache on vs cache off on a real benchmark: bit-identical results and
-/// deterministic counters across the worker-count × width grid, the
-/// cache actually fires (nonzero reuse), and at a fixed width the reuse
-/// figures are thread-invariant and reproducible.
+/// Cache on vs cache off on a real benchmark with pre-detected faults.
 #[test]
 fn s1196_cache_is_invisible_and_nonzero() {
     let (c, t, faults, pre, base) = s1196_setup();
-    let (r0, c0, off_hits, off_skipped) = run_once(&c, &t, &faults, Some(&pre), &base, 1, 1, false);
-    assert_eq!((off_hits, off_skipped), (0, 0), "cache off cannot reuse");
-    let reference = (r0, c0);
-    assert!(reference.0.omega.len() >= 2, "need a non-trivial walk");
+    let reference = assert_cache_invisible_and_nonzero(&c, &t, &faults, &pre, &base);
+    assert!(reference.omega.len() >= 2, "need a non-trivial walk");
+}
 
-    let mut fixed_width: Option<(u64, u64)> = None;
-    for (threads, width) in [(1usize, 1usize), (1, 4), (2, 4), (4, 4), (4, 16)] {
-        let (r, counters, hits, skipped) =
-            run_once(&c, &t, &faults, Some(&pre), &base, threads, width, true);
-        assert_identical(
-            &format!("cache on, threads={threads} width={width}"),
-            &reference,
-            &(r, counters),
-        );
-        assert!(
-            hits > 0 && skipped > 0,
-            "threads={threads} width={width}: the cache must fire on s1196; hits={hits} skipped={skipped}"
-        );
-        if width == 4 {
-            // Fixed width ⇒ fixed wavefront boundaries ⇒ reuse is a pure
-            // function of the walk, whatever the worker count.
-            match fixed_width {
-                None => fixed_width = Some((hits, skipped)),
-                Some(want) => assert_eq!(
-                    (hits, skipped),
-                    want,
-                    "threads={threads}: prefix counters must be thread-invariant at width 4"
-                ),
-            }
-        }
-    }
+/// A walk whose candidate sets contain stream-equivalent subsequences
+/// must resolve the duplicate `T_G` through the prefix-trace cache —
+/// and stay bit-identical while doing so. A single-input sequence lock
+/// driven by an arming prefix plus a periodic tail provides exactly
+/// that: the `01` window at `L_S = 2` and the `0101` window at
+/// `L_S = 4` repeat to the same generated stream (with one input, a
+/// candidate *is* the whole assignment), while the gated fault resists
+/// every periodic candidate, so both ranks land in the same keep-free
+/// segment and the second resolves as a full-length prefix share.
+#[test]
+fn duplicate_heavy_walk_reuses_the_prefix_cache() {
+    let c = sequence_lock(1, 3);
+    let faults = FaultList::checkpoints(&c);
+    let t = TestSequence::parse_rows(&["1", "1", "1", "1", "0", "1", "0", "1", "0", "1"])
+        .expect("valid rows");
+    // Leave only the hardest fault (largest detection time) as a target:
+    // one long keep-free walk instead of several short segments.
+    let times = FaultSim::new(&c)
+        .query(&faults)
+        .sequence(&t)
+        .detection_times();
+    let hardest = times
+        .iter()
+        .enumerate()
+        .filter_map(|(i, t)| t.map(|u| (i, u)))
+        .max_by_key(|&(_, u)| u)
+        .map(|(i, _)| i)
+        .expect("T detects something");
+    let pre: Vec<bool> = (0..faults.len()).map(|i| i != hardest).collect();
+    let base = SynthesisConfig {
+        sequence_length: 60,
+        sample_first: false,
+        ..SynthesisConfig::default()
+    };
+    assert_cache_invisible_and_nonzero(&c, &t, &faults, &pre, &base);
 }
 
 /// An interrupted run resumed from its checkpoint rebuilds the cache
@@ -369,32 +415,36 @@ proptest! {
         }
     }
 
-    /// Randomized configurations on s27: a cache-on run at a randomly
-    /// drawn worker-count/width combination is bit-identical to the
-    /// cache-off sequential walk — detections, abandonments, and the
-    /// deterministic counter trace.
+    /// Randomized configurations on s27 (an LFSR `T` or the paper's
+    /// sequence): a cache-on run at 1, 2 or 4 worker threads is
+    /// bit-identical to the cache-free single-thread walk — detections,
+    /// abandonments, and the deterministic counter trace.
     #[test]
     fn random_configs_are_cache_invariant(
         seed in 1u32..0xFFFF,
         t_len in 8usize..32,
+        paper_t in any::<bool>(),
         lg in 24usize..80,
         sample_size in 1usize..8,
         sample_sel in 0u8..2,
-        grid in 0usize..9,
+        threads_sel in 0usize..3,
     ) {
         let c = s27::circuit();
         let faults = FaultList::checkpoints(&c);
-        let t = Lfsr::new(16, seed).sequence(c.num_inputs(), t_len);
+        let t = if paper_t {
+            s27::paper_test_sequence()
+        } else {
+            Lfsr::new(16, seed).sequence(c.num_inputs(), t_len)
+        };
         let base = SynthesisConfig {
             sequence_length: lg,
             sample_first: sample_sel == 1,
             sample_size,
             ..SynthesisConfig::default()
         };
-        let threads = [1usize, 2, 4][grid / 3];
-        let width = [1usize, 4, 16][grid % 3];
-        let (r0, c0, _, _) = run_once(&c, &t, &faults, None, &base, 1, 1, false);
-        let (r1, c1, _, _) = run_once(&c, &t, &faults, None, &base, threads, width, true);
+        let threads = [1usize, 2, 4][threads_sel];
+        let (r0, c0, _) = run_once(&c, &t, &faults, None, &base, 1, false);
+        let (r1, c1, _) = run_once(&c, &t, &faults, None, &base, threads, true);
         prop_assert_eq!(&r1.omega, &r0.omega);
         prop_assert_eq!(&r1.detected, &r0.detected);
         prop_assert_eq!(&r1.abandoned, &r0.abandoned);

@@ -271,6 +271,52 @@ fn unrepresentable_wall_budget_runs_to_completion() {
     server.finish(workers);
 }
 
+/// Rows that cannot drive the registered circuit — too narrow for a sim
+/// job, empty or too wide for a synth job — end the job `failed` with a
+/// typed message on the first attempt. They never reach the simulator's
+/// width assertion, so nothing panics and nothing is retried.
+#[test]
+fn rows_that_cannot_drive_the_circuit_fail_without_retry() {
+    let _guard = failpoints_serialized();
+    let tel = Telemetry::enabled();
+    let (server, buf, workers) = server_with(ServeConfig {
+        telemetry: tel.clone(),
+        retry_backoff_ms: 1,
+        ..ServeConfig::default()
+    });
+    must(&server, r#"{"op":"register","name":"c","builtin":"s27"}"#);
+    for (id, kind, rows, want) in [
+        (
+            "narrow",
+            "sim",
+            r#"["010"]"#,
+            "3 bits but the circuit has 4 inputs",
+        ),
+        ("empty", "synth", "[]", "`rows` is empty"),
+        (
+            "wide",
+            "synth",
+            r#"["01010"]"#,
+            "5 bits but the circuit has 4 inputs",
+        ),
+    ] {
+        must(
+            &server,
+            &format!(
+                r#"{{"op":"submit","id":"{id}","kind":"{kind}","circuit":"c","rows":{rows}}}"#
+            ),
+        );
+        let snapshot = wait_for(&server, id, "failed", LONG);
+        let error = snapshot.get("error").and_then(Json::as_str).unwrap();
+        assert!(error.contains(want), "{id}: {error}");
+        assert_eq!(snapshot.get("retries").and_then(Json::as_u64), Some(0));
+    }
+    server.finish(workers);
+    assert!(!buf.text().contains(r#""state":"retried""#));
+    assert_eq!(tel.counter("serve.job_panics"), 0);
+    assert_eq!(tel.counter("serve.jobs_failed"), 3);
+}
+
 /// Admission control: once the queue is full, fresh submissions are
 /// shed with a structured rejection (`shed`, `depth`,
 /// `retry_after_ms`), committed work is untouched, and the same id can
