@@ -21,9 +21,6 @@
 //!                      only) and exit non-zero on any deviation
 //!   --no-prefix-cache  disable the prefix-trace cache (the results must
 //!                      be bit-identical either way; CI asserts it)
-//!   --no-cone-seeding  disable cone-seeded good-trace resume; resumed
-//!                      rebuilds re-evaluate every suffix gate (results
-//!                      are bit-identical either way; CI asserts it)
 //!   -o FILE            write the JSON there instead of stdout
 //!
 //! exit codes: 0 complete, 1 usage error, I/O failure or golden mismatch
@@ -34,16 +31,14 @@
 //! `prefix_hits`/`cycles_skipped` report the prefix-trace cache's reuse
 //! from the effort space. The identity columns (`omega_len`,
 //! `targets_detected`, `coverage`, `candidates_tried`) must not move
-//! with `--threads`, `--no-prefix-cache` or `--no-cone-seeding`; CI diffs
-//! them across such runs. `cone_seeded`,
-//! `trace_gates_evaluated` and `gates_rescanned_saved` report the
-//! cone-seeded good-trace rebuilds (how many resumed evaluations were
-//! spatially incremental, the suffix gates they evaluated, and the
-//! gates a full per-cycle rescan would have added); `snapshot_spills`
-//! and `snapshot_bytes` count compressed faulty-plane snapshots on
-//! dense queries past the raw capture cap, and
-//! `snapshot_capture_denied` counts dense evaluations past even the
-//! spill cap (deterministic, unlike the effort figures).
+//! with `--threads` or `--no-prefix-cache`; CI diffs them across such
+//! runs. `cone_seeded`, `trace_gates_evaluated` and
+//! `gates_rescanned_saved` report the cone-seeded good-trace rebuilds
+//! (how many resumed evaluations were spatially incremental, the suffix
+//! gates they evaluated, and the gates a full per-cycle rescan would
+//! have added); `snapshot_capture_denied` counts dense evaluations whose
+//! `batches × flip-flops` exceeded the snapshot capture cap
+//! (deterministic, unlike the effort figures).
 
 use std::time::Instant;
 use wbist_atpg::Lfsr;
@@ -56,9 +51,9 @@ use wbist_netlist::{FaultModel, FaultUniverse};
 /// stays a target. Chosen so a full synthesis walk finishes in seconds
 /// while still exercising hundreds of candidate evaluations. The
 /// s35932 value is dense enough (~6000 targets) that the first
-/// segments' dense queries exceed the raw snapshot-capture cap
+/// segments' dense queries exceed the snapshot-capture cap
 /// (`batches × flip-flops > 2^16`), so the committed rows exercise the
-/// compressed spill tier.
+/// capture denial.
 const DEFAULT_KEEP_EVERY: &[(&str, usize)] = &[("s1196", 5), ("s5378", 60), ("s35932", 10)];
 
 /// Golden Ω sizes and detected-target counts at the default
@@ -115,7 +110,6 @@ fn main() {
     };
     let golden = flag("--golden");
     let no_prefix_cache = flag("--no-prefix-cache");
-    let no_cone_seeding = flag("--no-cone-seeding");
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -154,12 +148,10 @@ fn main() {
         let mut best: Option<(SynthesisResult, Telemetry, f64)> = None;
         for _ in 0..reps {
             let tel = Telemetry::enabled();
-            let mut run = RunOptions::with_threads(threads).telemetry(tel.clone());
-            run.sim.no_cone_seeding = no_cone_seeding;
             let cfg = SynthesisConfig {
                 sequence_length: lg,
                 prefix_cache: !no_prefix_cache,
-                run,
+                run: RunOptions::with_threads(threads).telemetry(tel.clone()),
                 ..SynthesisConfig::default()
             };
             let start = Instant::now();
@@ -179,8 +171,6 @@ fn main() {
         let cone_seeded = tel.effort("select.cone_seeded");
         let trace_gates_evaluated = tel.effort("select.trace_gates_evaluated");
         let gates_rescanned_saved = tel.effort("select.gates_rescanned_saved");
-        let snapshot_spills = tel.effort("select.snapshot_spills");
-        let snapshot_bytes = tel.effort("select.snapshot_bytes");
         let capture_denied = tel.counter("select.snapshot_capture_denied");
         let detected_targets = result
             .detected
@@ -222,12 +212,9 @@ fn main() {
             ("prefix_cache", (!no_prefix_cache).into()),
             ("prefix_hits", prefix_hits.into()),
             ("cycles_skipped", cycles_skipped.into()),
-            ("cone_seeding", (!no_cone_seeding).into()),
             ("cone_seeded", cone_seeded.into()),
             ("trace_gates_evaluated", trace_gates_evaluated.into()),
             ("gates_rescanned_saved", gates_rescanned_saved.into()),
-            ("snapshot_spills", snapshot_spills.into()),
-            ("snapshot_bytes", snapshot_bytes.into()),
             ("snapshot_capture_denied", capture_denied.into()),
             ("omega_len", result.omega.len().into()),
             ("targets_detected", detected_targets.into()),

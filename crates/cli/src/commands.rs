@@ -42,8 +42,6 @@ pub const USAGE: &str = "usage:
       (exit 2 when resumable work was left behind)
   global options (any command):
       --threads N     simulator worker threads (default: all cores)
-      --no-cone-seeding  disable cone-seeded good-trace resume (results
-                      are bit-identical; for identity diffs and timing)
   fault selection (faults, atpg, sim, synth, obs, session, podem):
       --model M       fault universe: checkpoints (default) | collapsed | all
       --fault-model F fault model: stuck-at (default) | transition
@@ -127,7 +125,6 @@ fn extract_globals(argv: &[String]) -> Result<(Vec<String>, Globals), CliError> 
     let mut rest = Vec::new();
     let mut threads: Option<usize> = None;
     let mut reference_kernel = false;
-    let mut no_cone_seeding = false;
     let mut trace: Option<String> = None;
     let mut progress = false;
     let mut budget = Budget::default();
@@ -146,7 +143,6 @@ fn extract_globals(argv: &[String]) -> Result<(Vec<String>, Globals), CliError> 
                 }
                 threads = Some(n);
             }
-            "--no-cone-seeding" => no_cone_seeding = true,
             "--kernel" => {
                 let v = it.next().ok_or_else(|| usage("--kernel needs a value"))?;
                 reference_kernel = match v.as_str() {
@@ -225,7 +221,6 @@ fn extract_globals(argv: &[String]) -> Result<(Vec<String>, Globals), CliError> 
         sim: SimOptions {
             threads,
             reference_kernel,
-            no_cone_seeding,
         },
         ..run
     };
@@ -333,10 +328,7 @@ fn load_sequence(path: &str, circuit: &Circuit) -> Result<TestSequence, CliError
 }
 
 fn cmd_stats(argv: &[String]) -> Result<(), CliError> {
-    let p = parse(argv, &[]).map_err(usage)?;
-    if p.num_pos() > 1 {
-        return Err(usage("stats takes exactly one .bench file"));
-    }
+    let p = parse(argv, &[], &[], 1).map_err(usage)?;
     let path = p.pos(0).ok_or_else(|| usage("stats needs a .bench file"))?;
     let c = load_circuit(path)?;
     println!("circuit {}", c.name());
@@ -376,7 +368,7 @@ fn fault_list(
 }
 
 fn cmd_faults(argv: &[String]) -> Result<(), CliError> {
-    let p = parse(argv, &["model", "fault-model"]).map_err(usage)?;
+    let p = parse(argv, &["model", "fault-model"], &[], 1).map_err(usage)?;
     let path = p
         .pos(0)
         .ok_or_else(|| usage("faults needs a .bench file"))?;
@@ -390,7 +382,13 @@ fn cmd_faults(argv: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_atpg(argv: &[String]) -> Result<(), CliError> {
-    let p = parse(argv, &["seed", "max-len", "o", "model", "fault-model"]).map_err(usage)?;
+    let p = parse(
+        argv,
+        &["seed", "max-len", "o", "model", "fault-model"],
+        &["no-compact"],
+        1,
+    )
+    .map_err(usage)?;
     let path = p.pos(0).ok_or_else(|| usage("atpg needs a .bench file"))?;
     let c = load_circuit(path)?;
     let faults = fault_list(&c, p.opt("model"), p.opt("fault-model"))?;
@@ -422,7 +420,7 @@ fn cmd_atpg(argv: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_sim(argv: &[String], g: &Globals) -> Result<(), CliError> {
-    let p = parse(argv, &["model", "fault-model"]).map_err(usage)?;
+    let p = parse(argv, &["model", "fault-model"], &["times"], 2).map_err(usage)?;
     let (path, seq_path) = match (p.pos(0), p.pos(1)) {
         (Some(a), Some(b)) => (a, b),
         _ => return Err(usage("sim needs a .bench file and a sequence file")),
@@ -466,6 +464,8 @@ fn cmd_synth(argv: &[String], g: &Globals) -> Result<CmdStatus, CliError> {
             "fault-model",
             "seed",
         ],
+        &[],
+        1,
     )
     .map_err(usage)?;
     let lg = lg_option(&p)?;
@@ -643,7 +643,7 @@ fn sequence_for(c: &Circuit, faults: &FaultList, p: &Parsed) -> Result<TestSeque
 }
 
 fn cmd_obs(argv: &[String], g: &Globals) -> Result<(), CliError> {
-    let p = parse(argv, &["seq", "lg", "model", "fault-model"]).map_err(usage)?;
+    let p = parse(argv, &["seq", "lg", "model", "fault-model"], &[], 1).map_err(usage)?;
     let lg = lg_option(&p)?;
     let path = p.pos(0).ok_or_else(|| usage("obs needs a .bench file"))?;
     let c = load_circuit(path)?;
@@ -685,6 +685,8 @@ fn cmd_session(argv: &[String], g: &Globals) -> Result<(), CliError> {
     let p = parse(
         argv,
         &["seq", "lg", "misr", "capture", "model", "fault-model"],
+        &[],
+        1,
     )
     .map_err(usage)?;
     let lg = lg_option(&p)?;
@@ -737,7 +739,7 @@ fn cmd_session(argv: &[String], g: &Globals) -> Result<(), CliError> {
 
 fn cmd_podem(argv: &[String]) -> Result<(), CliError> {
     use wbist_atpg::{Podem, PodemConfig, PodemResult};
-    let p = parse(argv, &["model", "fault-model"]).map_err(usage)?;
+    let p = parse(argv, &["model", "fault-model"], &[], 1).map_err(usage)?;
     let path = p.pos(0).ok_or_else(|| usage("podem needs a .bench file"))?;
     let c = load_circuit(path)?;
     let scan = wbist_netlist::transform::full_scan(&c)?;
@@ -775,7 +777,7 @@ fn cmd_podem(argv: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_vcd(argv: &[String]) -> Result<(), CliError> {
-    let p = parse(argv, &["o"]).map_err(usage)?;
+    let p = parse(argv, &["o"], &[], 2).map_err(usage)?;
     let (path, seq_path) = match (p.pos(0), p.pos(1)) {
         (Some(a), Some(b)) => (a, b),
         _ => return Err(usage("vcd needs a .bench file and a sequence file")),
@@ -795,7 +797,7 @@ fn cmd_vcd(argv: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_gen(argv: &[String]) -> Result<(), CliError> {
-    let p = parse(argv, &["o"]).map_err(usage)?;
+    let p = parse(argv, &["o"], &[], 1).map_err(usage)?;
     let name = p.pos(0).ok_or_else(|| usage("gen needs a circuit name"))?;
     let circuit = build_named(name)?;
     let text = bench_format::write(&circuit);
@@ -822,16 +824,10 @@ fn cmd_serve(argv: &[String], g: &Globals) -> Result<CmdStatus, CliError> {
             "evict-after-ms",
             "ckpt-dir",
         ],
+        &[],
+        0,
     )
     .map_err(usage)?;
-    if p.num_pos() > 0 {
-        return Err(usage("serve takes no positional arguments"));
-    }
-    // The daemon runs unattended; a silently ignored misspelled option
-    // is worse than a refusal to start.
-    if let Some(f) = p.unknown_flag(&[]) {
-        return Err(usage(format!("serve: unknown option `--{f}`")));
-    }
     // `--trace`/`--progress` enable telemetry through the globals; the
     // daemon's `serve.*` counters land in the same trace file.
     let mut cfg = ServeConfig {

@@ -478,7 +478,7 @@ impl<'a> Synthesis<'a> {
                         if eval.capture_denied {
                             // Deterministic: the denial is a pure function
                             // of the query shape (batches × flip-flops over
-                            // the spill cap), replayed identically on resume.
+                            // the capture cap), replayed identically on resume.
                             tel.add("select.snapshot_capture_denied", 1);
                             if tel.is_enabled() && !capture_denied_reported {
                                 capture_denied_reported = true;
@@ -669,7 +669,7 @@ struct Evaluation {
     /// Detection does not depend on the `detected` flags, so these are
     /// exact whatever was kept before.
     detected: Vec<usize>,
-    /// The dense query declined snapshot capture (above the spill cap).
+    /// The dense query declined snapshot capture (above the capture cap).
     capture_denied: bool,
     /// The prefix-cache entry to publish if the candidate is not kept.
     install: Option<CacheInstall>,
@@ -752,8 +752,6 @@ fn evaluate(
     }
     effort("select.prefix_hits", prefix_hits);
     effort("select.cycles_skipped", cycles_skipped);
-    effort("select.snapshot_spills", out.snapshot_spills);
-    effort("select.snapshot_bytes", out.snapshot_bytes);
     Evaluation {
         screened_out: false,
         detected: out.detected,

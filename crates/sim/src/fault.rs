@@ -68,9 +68,7 @@ use crate::error::SimError;
 use crate::logic::Logic3;
 use crate::plane::{Planes, BATCH_FAULTS};
 use crate::pool;
-use crate::prefix::{
-    self, CacheInstall, FaultyArtifacts, PrefixTraceCache, SnapshotStore, SpilledCkpt,
-};
+use crate::prefix::{self, CacheInstall, FaultyArtifacts, PrefixTraceCache};
 use crate::run::RunOptions;
 use crate::runctl::CancelToken;
 use crate::sequence::TestSequence;
@@ -97,13 +95,6 @@ pub struct SimOptions {
     /// compiled cone-restricted one. Slower by design; kept as the
     /// differential-testing oracle (detection results are identical).
     pub reference_kernel: bool,
-    /// Disables cone-seeded good-trace resume: a prepared evaluation
-    /// that resumes from a cached prefix re-evaluates *every* gate of
-    /// every suffix cycle instead of only the changed input streams'
-    /// forward cones. The produced trace is bit-identical either way —
-    /// the flag exists for the identity diffs in CI and for measuring
-    /// the saving (inverted so the zero default keeps seeding on).
-    pub no_cone_seeding: bool,
 }
 
 impl SimOptions {
@@ -121,27 +112,15 @@ impl SimOptions {
         self.reference_kernel = on;
         self
     }
-
-    /// Enables or disables cone-seeded good-trace resume (builder
-    /// style). On by default; results are identical either way.
-    pub fn cone_seeding(mut self, on: bool) -> SimOptions {
-        self.no_cone_seeding = !on;
-        self
-    }
 }
 
 /// Cap on `batches × flip-flops` up to which the prepared dense query
-/// captures faulty-plane snapshots as raw plane vectors. Above it the
-/// snapshots are spilled to the compressed XOR-delta form
-/// ([`SpilledCkpt`]); a pure function of the query shape, so
-/// determinism is unaffected.
+/// captures faulty-plane snapshots. Above it capture is declined (the
+/// good trace is still cached) and the denial reported —
+/// [`PreparedOutcome::snapshot_capture_denied`] — instead of silently
+/// degrading. A pure function of the query shape, so determinism is
+/// unaffected.
 const ARTIFACT_STATE_CAP: usize = 1 << 16;
-
-/// Cap on `batches × flip-flops` above which even compressed snapshot
-/// capture is declined (the good trace is still cached). The denial is
-/// reported — [`PreparedOutcome::snapshot_capture_denied`] — instead of
-/// silently degrading.
-const ARTIFACT_SPILL_CAP: usize = 1 << 24;
 
 /// A candidate sequence prepared for evaluation: its good-machine
 /// trace, computed once — resumed from the divergence cycle when a
@@ -156,9 +135,9 @@ pub struct PreparedSequence {
     /// `(cache entry index, shared prefix rows)` of the best match.
     base: Option<(usize, usize)>,
     reused_cycles: usize,
-    /// Whether the trace rebuild was cone-seeded (a resumed rebuild with
-    /// cone seeding enabled; full-length trace shares never rebuild, and
-    /// a block deletion rejoins the cached trace instead).
+    /// Whether the trace rebuild was cone-seeded (every resumed rebuild
+    /// is; full-length trace shares never rebuild, and a block deletion
+    /// rejoins the cached trace instead).
     cone_seeded: bool,
     /// Good-machine gates evaluated rebuilding the suffix.
     trace_gates_evaluated: u64,
@@ -203,14 +182,8 @@ pub struct PreparedOutcome {
     pub detected: Vec<usize>,
     /// Faulty-machine cycles skipped by resuming batches mid-sequence.
     pub resumed_cycles: u64,
-    /// Snapshots newly compressed into the install's spill store this
-    /// run (0 when the raw representation applied or capture was off).
-    pub snapshot_spills: u64,
-    /// Total bytes the install's spilled snapshots pin after budget
-    /// enforcement (0 for raw stores).
-    pub snapshot_bytes: u64,
     /// Whether snapshot capture was declined because `batches ×
-    /// flip-flops` exceeded even the spill cap.
+    /// flip-flops` exceeded the capture cap.
     pub snapshot_capture_denied: bool,
     /// Entry the caller may install into its [`PrefixTraceCache`] once
     /// this evaluation's result is committed.
@@ -223,8 +196,6 @@ struct DenseRun {
     times: Vec<Option<usize>>,
     resumed_cycles: u64,
     artifacts: Option<FaultyArtifacts>,
-    snapshot_spills: u64,
-    snapshot_bytes: u64,
     capture_denied: bool,
 }
 
@@ -861,30 +832,14 @@ impl<'c> FaultSim<'c> {
         let batches = self.make_batches(faults);
         let n_jobs = batches.len();
         let fingerprint = prefix::fault_fingerprint(faults);
-        // Snapshot capture is tiered on the plane footprint `batches ×
+        // Snapshot capture is guarded on the plane footprint `batches ×
         // flip-flops` — a pure function of the query shape, so
         // artifacts either exist for every evaluation of a fault list
-        // or for none, and a cached store always matches the
-        // representation a rerun would pick. Small queries keep raw
-        // plane vectors; above the state cap snapshots are spilled to
-        // the compressed XOR-delta form; above the spill cap capture is
-        // declined and the denial reported.
-        #[derive(Clone, Copy, PartialEq, Eq)]
-        enum Capture {
-            Off,
-            Raw,
-            Spill,
-            Denied,
-        }
-        let capture = if prepared.is_none() || self.options.reference_kernel {
-            Capture::Off
-        } else if n_jobs * num_dffs <= ARTIFACT_STATE_CAP {
-            Capture::Raw
-        } else if n_jobs * num_dffs <= ARTIFACT_SPILL_CAP {
-            Capture::Spill
-        } else {
-            Capture::Denied
-        };
+        // or for none. Above the cap capture is declined and the
+        // denial reported.
+        let resumable = prepared.is_some() && !self.options.reference_kernel;
+        let fits = n_jobs * num_dffs <= ARTIFACT_STATE_CAP;
+        let capture_on = resumable && fits;
         // Artifacts taken against another fault list simply miss — the
         // trace-side prefix reuse still applies.
         let arts: Option<(&FaultyArtifacts, usize)> = match prepared {
@@ -892,72 +847,37 @@ impl<'c> FaultSim<'c> {
                 .entry(ei)
                 .faulty
                 .as_ref()
-                .filter(|fa| fa.fingerprint == fingerprint && fa.store.num_batches() == n_jobs)
+                .filter(|fa| fa.fingerprint == fingerprint && fa.snaps.len() == n_jobs)
                 .map(|fa| (fa, d)),
             _ => None,
         };
-        if let Some((fa, _)) = arts {
-            debug_assert!(
-                matches!(
-                    (&fa.store, capture),
-                    (SnapshotStore::Raw(_), Capture::Raw)
-                        | (SnapshotStore::Spilled(_), Capture::Spill)
-                ),
-                "cached store representation must match the rerun's capture tier"
-            );
-        }
         type Ckpt = Arc<compiled::BatchCkpt>;
         type Job<'a> = (usize, Batch, Option<(Ckpt, &'a [(usize, usize)])>);
         // Snapshots at or before each batch's resume point stay valid
         // for the new sequence and carry over into its entry; they are
         // merged back in (deterministic) batch order after the fan-out.
-        let mut carry_raw: Vec<Vec<Ckpt>> = vec![Vec::new(); n_jobs];
-        let mut carry_spilled: Vec<Vec<Arc<SpilledCkpt>>> = vec![Vec::new(); n_jobs];
+        let mut carry: Vec<Vec<Ckpt>> = vec![Vec::new(); n_jobs];
         let jobs: Vec<Job<'_>> = batches
             .into_iter()
             .enumerate()
             .map(|(bi, batch)| {
                 // Resume from the latest snapshot still inside the
-                // shared prefix; spilled snapshots are decompressed
-                // against the new trace (identical on prefix rows). The
-                // skipped cycles' detections are a prefix of the batch's
-                // cycle-ordered list.
+                // shared prefix. The skipped cycles' detections are a
+                // prefix of the batch's cycle-ordered list.
                 let resume = arts.and_then(|(fa, d)| {
-                    let ck: Option<Ckpt> = match &fa.store {
-                        SnapshotStore::Raw(pb) => {
-                            let list = &pb[bi];
-                            let resume = list.iter().rfind(|ck| ck.cycle <= d).cloned();
-                            if let Some(r) = &resume {
-                                carry_raw[bi] = list
-                                    .iter()
-                                    .filter(|ck| ck.cycle <= r.cycle)
-                                    .cloned()
-                                    .collect();
-                            }
-                            resume
-                        }
-                        SnapshotStore::Spilled(pb) => {
-                            let list = &pb[bi];
-                            let spill = list.iter().rfind(|ck| ck.cycle <= d);
-                            if let Some(r) = spill {
-                                carry_spilled[bi] = list
-                                    .iter()
-                                    .filter(|ck| ck.cycle <= r.cycle)
-                                    .cloned()
-                                    .collect();
-                            }
-                            spill.map(|s| Arc::new(s.restore(trace, &self.compiled.dff_d)))
-                        }
-                    };
-                    ck.map(|ck| {
-                        let prior = &fa.found[bi][..ck.found_len];
-                        (ck, prior)
-                    })
+                    let list = &fa.snaps[bi];
+                    let ck = list.iter().rfind(|ck| ck.cycle <= d)?.clone();
+                    carry[bi] = list
+                        .iter()
+                        .filter(|s| s.cycle <= ck.cycle)
+                        .cloned()
+                        .collect();
+                    let prior = &fa.found[bi][..ck.found_len];
+                    Some((ck, prior))
                 });
                 (bi, batch, resume)
             })
             .collect();
-        let capture_on = matches!(capture, Capture::Raw | Capture::Spill);
         type Out = (
             Vec<(usize, usize)>,
             BatchStats,
@@ -1010,98 +930,58 @@ impl<'c> FaultSim<'c> {
                     },
                 );
                 let skipped = from.map_or(0, |(ck, _)| ck.cycle as u64);
-                // Raw snapshots move to the merge loop, which owns the
-                // detection-prefix lengths and (on the spill tier)
-                // compression; a reference retry forfeits capture
-                // entirely.
+                // Snapshots move to the merge loop, which owns the
+                // detection-prefix lengths; a reference retry forfeits
+                // capture entirely.
                 (found, stats, (!reference).then_some(snaps), skipped)
             })
         });
         let mut times = vec![None; faults.len()];
         let mut stats = BatchStats::default();
         let mut dropped = 0usize;
-        let mut raw_store: Vec<Vec<Ckpt>> = Vec::new();
-        let mut spill_store: Vec<Vec<Arc<SpilledCkpt>>> = Vec::new();
+        let mut store: Vec<Vec<Ckpt>> = Vec::new();
         let mut found_store: Vec<Vec<(usize, usize)>> = Vec::new();
-        let mut snapshot_spills = 0u64;
         let mut resumed_cycles = 0u64;
         for (bi, (found, bstats, captured, skipped)) in per_batch.into_iter().enumerate() {
             stats.merge(bstats);
             dropped += found.len();
-            // `found` is in cycle order, so each stored snapshot records
-            // the length of its prefix strictly before its cycle and a
-            // resume replays the rest verbatim. Carried snapshots keep
-            // their lengths: the resumed run copied that prefix first.
-            let before = |cycle: usize| found.partition_point(|&(_, u)| u < cycle);
-            match (capture, captured) {
-                (Capture::Raw, Some(snaps)) => {
-                    let mut list = std::mem::take(&mut carry_raw[bi]);
-                    list.extend(snaps.into_iter().map(|mut s| {
-                        s.found_len = before(s.cycle);
-                        Arc::new(s)
-                    }));
-                    raw_store.push(list);
-                }
-                (Capture::Spill, Some(snaps)) => {
-                    let mut list = std::mem::take(&mut carry_spilled[bi]);
-                    for mut s in snaps {
-                        s.found_len = before(s.cycle);
-                        snapshot_spills += 1;
-                        list.push(Arc::new(SpilledCkpt::compress(
-                            &s,
-                            trace,
-                            &self.compiled.dff_d,
-                        )));
-                    }
-                    spill_store.push(list);
-                }
-                // A panic-retried batch reran under the reference
-                // kernel and forfeits its snapshots, carried included.
-                (Capture::Raw, None) => raw_store.push(Vec::new()),
-                (Capture::Spill, None) => spill_store.push(Vec::new()),
-                _ => {}
-            }
             for &(gi, u) in &found {
                 times[gi] = Some(u);
             }
             if capture_on {
+                // `found` is in cycle order, so each stored snapshot
+                // records the length of its prefix strictly before its
+                // cycle and a resume replays the rest verbatim. Carried
+                // snapshots keep their lengths: the resumed run copied
+                // that prefix first. A panic-retried batch reran under
+                // the reference kernel and forfeits its snapshots,
+                // carried included.
+                let list = match captured {
+                    Some(snaps) => {
+                        let mut list = std::mem::take(&mut carry[bi]);
+                        list.extend(snaps.into_iter().map(|mut s| {
+                            s.found_len = found.partition_point(|&(_, u)| u < s.cycle);
+                            Arc::new(s)
+                        }));
+                        list
+                    }
+                    None => Vec::new(),
+                };
+                store.push(list);
                 found_store.push(found);
             }
             resumed_cycles += skipped;
         }
         self.record_run(n_jobs, stats, dropped);
-        let mut snapshot_bytes = 0u64;
-        let artifacts = match capture {
-            Capture::Raw => Some(FaultyArtifacts {
-                fingerprint,
-                store: SnapshotStore::Raw(raw_store),
-                found: found_store,
-            }),
-            Capture::Spill => {
-                // The detection lists stay whole: the budget evicts
-                // snapshots only.
-                let found_bytes = found_store.iter().map(Vec::len).sum::<usize>()
-                    * std::mem::size_of::<(usize, usize)>();
-                snapshot_bytes = (found_bytes
-                    + prefix::enforce_spill_budget(
-                        &mut spill_store,
-                        prefix::SPILL_BYTE_BUDGET.saturating_sub(found_bytes),
-                    )) as u64;
-                Some(FaultyArtifacts {
-                    fingerprint,
-                    store: SnapshotStore::Spilled(spill_store),
-                    found: found_store,
-                })
-            }
-            Capture::Off | Capture::Denied => None,
-        };
         DenseRun {
             times,
             resumed_cycles,
-            artifacts,
-            snapshot_spills,
-            snapshot_bytes,
-            capture_denied: capture == Capture::Denied,
+            artifacts: capture_on.then_some(FaultyArtifacts {
+                fingerprint,
+                snaps: store,
+                found: found_store,
+            }),
+            capture_denied: resumable && !fits,
         }
     }
 
@@ -1172,7 +1052,6 @@ impl<'c> FaultSim<'c> {
         seq: &TestSequence,
     ) -> PreparedSequence {
         self.check_width(seq);
-        let init = vec![Logic3::X; self.circuit.num_dffs()];
         let best = if self.options.reference_kernel {
             None
         } else {
@@ -1189,28 +1068,16 @@ impl<'c> FaultSim<'c> {
                     // The cached sequence minus one block of rows (a
                     // compaction trial): simulate until the machine
                     // rejoins the cached trace, then copy the rest.
-                    let (trace, _, rows) =
-                        self.compiled
-                            .good_trace_from(seq, &init, &base.trace, d, Some(gap));
+                    let (trace, rows) = self.compiled.good_trace_from(seq, &base.trace, d, gap);
                     let stats = compiled::TraceStats::full((self.compiled.num_gates * rows) as u64);
-                    (Arc::new(trace), false, stats)
-                } else if self.options.no_cone_seeding {
-                    // Full-divergence resume: every suffix gate rescanned.
-                    let stats = compiled::TraceStats::full(
-                        (self.compiled.num_gates * (seq.len() - d)) as u64,
-                    );
-                    let trace = self
-                        .compiled
-                        .good_trace_from(seq, &init, &base.trace, d, None)
-                        .0;
                     (Arc::new(trace), false, stats)
                 } else {
                     // Cone-seeded resume: only the changed input
                     // streams' forward cones are re-evaluated.
                     let changed = prefix::changed_streams(&base.seq, seq, d);
-                    let (trace, _, stats) =
+                    let (trace, stats) =
                         self.compiled
-                            .good_trace_from_cone(seq, &init, &base.trace, d, &changed);
+                            .good_trace_from_cone(seq, &base.trace, d, &changed);
                     (Arc::new(trace), true, stats)
                 };
                 PreparedSequence {
@@ -1225,7 +1092,11 @@ impl<'c> FaultSim<'c> {
             }
             None => PreparedSequence {
                 seq: seq.clone(),
-                trace: Arc::new(self.compiled.good_trace(seq, &init).0),
+                trace: Arc::new(
+                    self.compiled
+                        .good_trace(seq, &vec![Logic3::X; self.circuit.num_dffs()])
+                        .0,
+                ),
                 base: None,
                 reused_cycles: 0,
                 cone_seeded: false,
@@ -1591,8 +1462,6 @@ impl<'q, 'c> Query<'q, 'c> {
         PreparedOutcome {
             detected,
             resumed_cycles: run.resumed_cycles,
-            snapshot_spills: run.snapshot_spills,
-            snapshot_bytes: run.snapshot_bytes,
             snapshot_capture_denied: run.capture_denied,
             install: CacheInstall {
                 seq: prep.seq.clone(),

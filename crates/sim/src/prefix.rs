@@ -49,8 +49,7 @@
 
 use std::sync::Arc;
 
-use crate::compiled::{BatchCkpt, BatchStats, GoodTrace};
-use crate::plane::Planes;
+use crate::compiled::{BatchCkpt, GoodTrace};
 use crate::sequence::TestSequence;
 use wbist_netlist::{FaultList, FaultModel, FaultSite};
 
@@ -59,200 +58,14 @@ use wbist_netlist::{FaultList, FaultModel, FaultSite};
 /// all, and each entry can pin per-batch plane snapshots.
 const CACHE_CAP: usize = 4;
 
-/// Hard byte budget for one entry's spilled snapshots. Enforced with a
-/// deterministic eviction order by [`enforce_spill_budget`].
-pub(crate) const SPILL_BYTE_BUDGET: usize = 16 << 20;
-
-/// A [`BatchCkpt`] compressed against the good trace it was captured
-/// under. Faulty flip-flop planes are near-identical to the fault-free
-/// machine, so each plane pair is classified per flip-flop: exactly
-/// all-`X` (one bitmap bit), exactly the broadcast good value entering
-/// `cycle` (one bitmap bit), or an explicit XOR delta against that
-/// broadcast (two plane words). The first two classes dominate — a
-/// mid-run snapshot holds broadcast values for every flip-flop the
-/// batch never dirtied — so an s35932-class snapshot shrinks from
-/// `2 × FFs` plane words to two bitmaps plus a short delta list.
-///
-/// Restoring against a trace whose rows before `cycle` match the
-/// capture trace (guaranteed: snapshots are only resumed at or before
-/// the divergence cycle) reproduces the raw checkpoint bit-exactly —
-/// XOR round-trips, and the class tags are checked in the same order on
-/// both sides.
-#[derive(Debug)]
-pub(crate) struct SpilledCkpt {
-    /// The cycle the snapshot resumes at (state *entering* this cycle).
-    pub(crate) cycle: usize,
-    /// Live fault mask entering `cycle`.
-    pub(crate) live: u64,
-    /// Flip-flop indices flagged dirty entering `cycle`.
-    pub(crate) dirty_dffs: Vec<u32>,
-    /// Cumulative kernel stats over cycles `0..cycle`.
-    pub(crate) stats: BatchStats,
-    /// Length of the batch's detection-list prefix recorded before
-    /// `cycle`.
-    pub(crate) found_len: usize,
-    /// Flip-flop count of the raw checkpoint (bitmap padding excluded).
-    num_dffs: usize,
-    /// Bit `k`: flip-flop `k`'s planes are exactly all-`X`.
-    x_bits: Vec<u64>,
-    /// Bit `k`: flip-flop `k`'s planes equal the broadcast good value.
-    good_bits: Vec<u64>,
-    /// XOR deltas vs. the broadcast good value for every remaining
-    /// flip-flop, ascending by index.
-    deltas: Vec<Planes>,
-}
-
-impl SpilledCkpt {
-    /// The broadcast good-machine value of flip-flop `k` entering
-    /// `cycle`: its D input at the previous cycle. Snapshots are taken
-    /// at cycle boundaries `u + 1 ≥ 1`, so the row always exists.
-    #[inline]
-    fn good_plane(trace: &GoodTrace, dff_d: &[u32], cycle: usize, k: usize) -> Planes {
-        debug_assert!(cycle >= 1);
-        trace.planes(cycle - 1, dff_d[k] as usize)
-    }
-
-    /// Compresses a raw checkpoint against the trace it was captured
-    /// under.
-    pub(crate) fn compress(ck: &BatchCkpt, trace: &GoodTrace, dff_d: &[u32]) -> SpilledCkpt {
-        let words = ck.ff.len().div_ceil(64);
-        let mut x_bits = vec![0u64; words];
-        let mut good_bits = vec![0u64; words];
-        let mut deltas = Vec::new();
-        for (k, &p) in ck.ff.iter().enumerate() {
-            if p == Planes::ALL_X {
-                x_bits[k / 64] |= 1u64 << (k % 64);
-                continue;
-            }
-            let good = SpilledCkpt::good_plane(trace, dff_d, ck.cycle, k);
-            if p == good {
-                good_bits[k / 64] |= 1u64 << (k % 64);
-            } else {
-                deltas.push(Planes {
-                    ones: p.ones ^ good.ones,
-                    zeros: p.zeros ^ good.zeros,
-                });
-            }
-        }
-        SpilledCkpt {
-            cycle: ck.cycle,
-            live: ck.live,
-            dirty_dffs: ck.dirty_dffs.clone(),
-            stats: ck.stats,
-            found_len: ck.found_len,
-            num_dffs: ck.ff.len(),
-            x_bits,
-            good_bits,
-            deltas,
-        }
-    }
-
-    /// Reconstructs the raw checkpoint. `trace` must agree with the
-    /// capture trace on rows before `cycle` (true for any trace sharing
-    /// at least `cycle` prefix rows with the capture sequence).
-    pub(crate) fn restore(&self, trace: &GoodTrace, dff_d: &[u32]) -> BatchCkpt {
-        let mut ff = Vec::with_capacity(self.num_dffs);
-        let mut next = self.deltas.iter();
-        for k in 0..self.num_dffs {
-            let bit = 1u64 << (k % 64);
-            if self.x_bits[k / 64] & bit != 0 {
-                ff.push(Planes::ALL_X);
-            } else if self.good_bits[k / 64] & bit != 0 {
-                ff.push(SpilledCkpt::good_plane(trace, dff_d, self.cycle, k));
-            } else {
-                let d = *next.next().expect("one delta per unclassified flip-flop");
-                let good = SpilledCkpt::good_plane(trace, dff_d, self.cycle, k);
-                ff.push(Planes {
-                    ones: d.ones ^ good.ones,
-                    zeros: d.zeros ^ good.zeros,
-                });
-            }
-        }
-        debug_assert!(next.next().is_none(), "every delta consumed");
-        BatchCkpt {
-            cycle: self.cycle,
-            live: self.live,
-            ff,
-            dirty_dffs: self.dirty_dffs.clone(),
-            stats: self.stats,
-            found_len: self.found_len,
-        }
-    }
-
-    /// Approximate heap footprint, for the byte budget.
-    pub(crate) fn bytes(&self) -> usize {
-        std::mem::size_of::<SpilledCkpt>()
-            + self.dirty_dffs.len() * std::mem::size_of::<u32>()
-            + (self.x_bits.len() + self.good_bits.len()) * 8
-            + self.deltas.len() * std::mem::size_of::<Planes>()
-    }
-}
-
-/// Enforces the spilled-snapshot byte budget in a deterministic order:
-/// while over budget, evict the earliest-cycle snapshot among batches
-/// that still hold more than one (ties to the lowest batch index) —
-/// late snapshots are the valuable resume points, candidate divergences
-/// cluster near the end of a sequence. If a single snapshot per batch
-/// still exceeds the budget, batches are emptied in ascending index
-/// order until the rest fit. Returns the resulting total byte count.
-pub(crate) fn enforce_spill_budget(batches: &mut [Vec<Arc<SpilledCkpt>>], budget: usize) -> usize {
-    let mut total: usize = batches.iter().flatten().map(|s| s.bytes()).sum();
-    while total > budget {
-        let pick = batches
-            .iter()
-            .enumerate()
-            .filter(|(_, list)| list.len() > 1)
-            .min_by_key(|(bi, list)| (list[0].cycle, *bi))
-            .map(|(bi, _)| bi);
-        match pick {
-            Some(bi) => total -= batches[bi].remove(0).bytes(),
-            None => break,
-        }
-    }
-    if total > budget {
-        for list in batches.iter_mut() {
-            while let Some(s) = list.pop() {
-                total -= s.bytes();
-            }
-            if total <= budget {
-                break;
-            }
-        }
-    }
-    total
-}
-
-/// Per-batch snapshots in whichever representation the capture guard
-/// chose: raw plane vectors under the plane cap, compressed spill
-/// above it. The choice is a pure function of `batches × flip-flops`,
-/// so a cached store always matches the representation a rerun of the
-/// same query would pick.
-#[derive(Debug)]
-pub(crate) enum SnapshotStore {
-    /// Raw snapshots, ascending by cycle within each batch.
-    Raw(Vec<Vec<Arc<BatchCkpt>>>),
-    /// Compressed snapshots, ascending by cycle within each batch.
-    Spilled(Vec<Vec<Arc<SpilledCkpt>>>),
-}
-
-impl SnapshotStore {
-    /// Number of batches the store was captured over.
-    pub(crate) fn num_batches(&self) -> usize {
-        match self {
-            SnapshotStore::Raw(pb) => pb.len(),
-            SnapshotStore::Spilled(pb) => pb.len(),
-        }
-    }
-}
-
 /// Per-batch faulty-plane snapshots, valid for one (sequence, fault
 /// list) pair.
 #[derive(Debug)]
 pub(crate) struct FaultyArtifacts {
     /// Fingerprint of the fault list the snapshots were taken against.
     pub(crate) fingerprint: u64,
-    /// Snapshots per batch.
-    pub(crate) store: SnapshotStore,
+    /// Snapshots per batch, ascending by cycle within each batch.
+    pub(crate) snaps: Vec<Vec<Arc<BatchCkpt>>>,
     /// Per batch, the capturing run's detections `(fault index, cycle)`
     /// in cycle order. Every snapshot of the batch records only the
     /// length of the prefix found before its cycle, so the list is
@@ -557,82 +370,6 @@ mod tests {
         // Rows past the owner's length have nothing to diff against.
         let longer = seq(&["00", "01", "10", "11"]);
         assert_eq!(changed_streams(&a, &longer, 3), vec![false, false]);
-    }
-
-    #[test]
-    fn spill_round_trips_bit_exactly() {
-        let c = bench_format::parse(
-            "toy",
-            "INPUT(a)\nINPUT(b)\nOUTPUT(y)\nq = DFF(g)\ng = NAND(a, q)\ny = XOR(g, b)\n",
-        )
-        .unwrap();
-        let cc = CompiledCircuit::build(&c);
-        let s = seq(&["00", "01", "10", "11"]);
-        let (t, _) = cc.good_trace(&s, &[Logic3::X]);
-        for cycle in 1..=s.len() {
-            let good = t.planes(cycle - 1, cc.dff_d[0] as usize);
-            // One case per plane class: all-X, exactly-good, XOR delta.
-            let delta = Planes {
-                ones: good.ones ^ 0b100,
-                zeros: good.zeros,
-            };
-            for ffv in [Planes::ALL_X, good, delta] {
-                let ck = BatchCkpt {
-                    cycle,
-                    live: 0b110u64,
-                    ff: vec![ffv],
-                    dirty_dffs: vec![0],
-                    stats: BatchStats::default(),
-                    found_len: 1,
-                };
-                let sp = SpilledCkpt::compress(&ck, &t, &cc.dff_d);
-                let back = sp.restore(&t, &cc.dff_d);
-                assert_eq!(back.ff, ck.ff);
-                assert_eq!(back.cycle, ck.cycle);
-                assert_eq!(back.live, ck.live);
-                assert_eq!(back.dirty_dffs, ck.dirty_dffs);
-                assert_eq!(back.found_len, ck.found_len);
-            }
-        }
-    }
-
-    #[test]
-    fn spill_budget_evicts_earliest_cycles_first() {
-        let c = bench_format::parse(
-            "toy",
-            "INPUT(a)\nINPUT(b)\nOUTPUT(y)\nq = DFF(g)\ng = NAND(a, q)\ny = XOR(g, b)\n",
-        )
-        .unwrap();
-        let cc = CompiledCircuit::build(&c);
-        let s = seq(&["00", "01", "10", "11"]);
-        let (t, _) = cc.good_trace(&s, &[Logic3::X]);
-        let snap = |cycle: usize| {
-            let ck = BatchCkpt {
-                cycle,
-                live: 0b10u64,
-                ff: vec![Planes::ALL_X],
-                dirty_dffs: Vec::new(),
-                stats: BatchStats::default(),
-                found_len: 0,
-            };
-            Arc::new(SpilledCkpt::compress(&ck, &t, &cc.dff_d))
-        };
-        let mut batches = vec![
-            vec![snap(1), snap(2), snap(3)],
-            vec![snap(1), snap(2), snap(3)],
-        ];
-        let total: usize = batches.iter().flatten().map(|s| s.bytes()).sum();
-        // One over budget: exactly batch 0's earliest snapshot goes.
-        let after = enforce_spill_budget(&mut batches, total - 1);
-        assert!(after < total);
-        assert_eq!(
-            batches[0].iter().map(|s| s.cycle).collect::<Vec<_>>(),
-            [2, 3]
-        );
-        assert_eq!(batches[1].len(), 3);
-        // An impossible budget empties the store, never panics.
-        assert_eq!(enforce_spill_budget(&mut batches, 1), 0);
-        assert!(batches.iter().all(Vec::is_empty));
     }
 
     #[test]

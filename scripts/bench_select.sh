@@ -6,12 +6,12 @@
 #                                [--threads N] [--fault-model M]
 #                                [--t-len N] [--lg N] [--keep-every N]
 #                                [--reps N] [--golden]
-#                                [--no-prefix-cache] [--no-cone-seeding]
+#                                [--no-prefix-cache]
 # Extra arguments are forwarded to the synth_bench binary. The committed
-# BENCH_select.json predates the removal of the speculation width and
-# still carries its columns; perfbench (perfbench/README.md) is the
-# maintained benchmark. A fresh file comes from:
+# BENCH_select.json was produced by:
 #   scripts/bench_select.sh --circuits s1196,s5378,s35932
+# perfbench (perfbench/README.md) is the end-to-end benchmark; this
+# script times the selection walk alone.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."

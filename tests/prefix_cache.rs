@@ -270,86 +270,98 @@ fn diverge_at(owner: &TestSequence, d: usize, pi: usize) -> TestSequence {
     TestSequence::from_rows(rows).expect("rows share the owner's arity")
 }
 
-/// Cone-seeded good-trace resume is bit-identical to the full-rescan
-/// resume (`--no-cone-seeding`) and to a from-scratch evaluation at
-/// *every* divergence cycle on s1196, the accounting balances exactly
-/// (`evaluated + saved` equals the rescan's evaluation count at every
-/// cut), and seeding saves good-machine work overall.
+/// The from-scratch query of `probe` and its cone-seeded resume from
+/// `cache` must agree: detection times, observable lines and the
+/// outcome's detections (the from-scratch query builds its own good
+/// trace, so any divergence of the rebuilt trace would show). The
+/// rebuild's accounting must balance exactly —
+/// `evaluated + saved == num_gates × rebuilt rows`. Returns the prepared
+/// sequence's `(evaluated, saved)` gate figures.
+fn assert_cone_resume_matches_scratch(
+    sim: &FaultSim<'_>,
+    faults: &FaultList,
+    cache: &PrefixTraceCache,
+    probe: &TestSequence,
+    cut: usize,
+) -> (u64, u64) {
+    let prep = sim.prepare_sequence(Some(cache), probe);
+    assert_eq!(prep.reused_cycles(), cut, "divergence must land at {cut}");
+    assert!(prep.cone_seeded(), "resumed rebuild must be cone-seeded");
+    let rebuilt = (sim.circuit().num_gates() * (probe.len() - cut)) as u64;
+    assert_eq!(
+        prep.trace_gates_evaluated() + prep.trace_gates_saved(),
+        rebuilt,
+        "evaluated + saved must cover every gate of every rebuilt row at cut {cut}"
+    );
+    let scratch = sim.query(faults).sequence(probe);
+    let resumed = sim.query(faults).prepared(&prep);
+    assert_eq!(
+        resumed.detection_times(),
+        scratch.detection_times(),
+        "detection times at cut {cut}"
+    );
+    assert_eq!(
+        resumed.observable_lines(),
+        scratch.observable_lines(),
+        "observable lines at cut {cut}"
+    );
+    let out = resumed.cache(cache).outcome();
+    assert_eq!(
+        out.detected,
+        scratch.detected_indices(),
+        "cone-seeded resume at cut {cut}"
+    );
+    (prep.trace_gates_evaluated(), prep.trace_gates_saved())
+}
+
+/// A cache holding `owner`'s evaluation, faulty-plane snapshots
+/// included.
+fn primed_cache(sim: &FaultSim<'_>, faults: &FaultList, owner: &TestSequence) -> PrefixTraceCache {
+    let mut cache = PrefixTraceCache::new();
+    let prep = sim.prepare_sequence(Some(&cache), owner);
+    let out = sim.query(faults).prepared(&prep).cache(&cache).outcome();
+    cache.install(out.install);
+    cache
+}
+
+/// Cone-seeded good-trace resume is bit-identical to a from-scratch
+/// evaluation at *every* divergence cycle on s1196, the accounting
+/// balances exactly at every cut, and seeding saves good-machine work
+/// overall.
 #[test]
 fn s1196_cone_seeding_identity_at_every_divergence() {
     let c = synthetic::by_name("s1196").expect("known benchmark");
     let faults = FaultList::checkpoints(&c);
     let owner = Lfsr::new(24, 0xACE1).sequence(c.num_inputs(), 40);
-    let seeded = FaultSim::with_options(&c, SimOptions::with_threads(2));
-    let rescan = FaultSim::with_options(&c, SimOptions::with_threads(2).cone_seeding(false));
-
-    // Each mode owns a cache primed with the same committed sequence.
-    let mut caches = Vec::new();
-    for sim in [&seeded, &rescan] {
-        let mut cache = PrefixTraceCache::new();
-        let prep = sim.prepare_sequence(Some(&cache), &owner);
-        let out = sim.query(&faults).prepared(&prep).cache(&cache).outcome();
-        cache.install(out.install);
-        caches.push(cache);
-    }
-
-    let (mut evaluated_seeded, mut evaluated_rescan, mut saved) = (0u64, 0u64, 0u64);
+    let sim = FaultSim::with_options(&c, SimOptions::with_threads(2));
+    let cache = primed_cache(&sim, &faults, &owner);
+    let (mut evaluated, mut saved) = (0u64, 0u64);
     for d in 1..owner.len() {
         let probe = diverge_at(&owner, d, d % c.num_inputs());
-        let scratch = seeded.query(&faults).sequence(&probe).detected_indices();
-
-        let prep = seeded.prepare_sequence(Some(&caches[0]), &probe);
-        assert_eq!(prep.reused_cycles(), d, "divergence must land at {d}");
-        assert!(prep.cone_seeded(), "resumed rebuild must be cone-seeded");
-        let out = seeded
-            .query(&faults)
-            .prepared(&prep)
-            .cache(&caches[0])
-            .outcome();
-        assert_eq!(out.detected, scratch, "cone-seeded resume at cut {d}");
-        let balance = prep.trace_gates_evaluated() + prep.trace_gates_saved();
-        evaluated_seeded += prep.trace_gates_evaluated();
-        saved += prep.trace_gates_saved();
-
-        let prep = rescan.prepare_sequence(Some(&caches[1]), &probe);
-        assert_eq!(prep.reused_cycles(), d, "same cache, same divergence");
-        assert!(!prep.cone_seeded(), "no_cone_seeding must force the rescan");
-        let out = rescan
-            .query(&faults)
-            .prepared(&prep)
-            .cache(&caches[1])
-            .outcome();
-        assert_eq!(out.detected, scratch, "full-rescan resume at cut {d}");
-        assert_eq!(
-            balance,
-            prep.trace_gates_evaluated(),
-            "evaluated + saved must equal the full-rescan count at cut {d}"
-        );
-        evaluated_rescan += prep.trace_gates_evaluated();
+        let (e, s) = assert_cone_resume_matches_scratch(&sim, &faults, &cache, &probe, d);
+        evaluated += e;
+        saved += s;
     }
     assert!(
         saved > 0,
         "cone seeding must save good-machine work on s1196"
     );
-    assert_eq!(evaluated_seeded + saved, evaluated_rescan);
+    assert!(evaluated > 0, "some cut must re-evaluate a gate");
 }
 
-/// Past the raw-capture cap (`batches × flip-flops > 2^16`, the s35932
-/// class) snapshots spill to the compressed XOR-delta form — and a
-/// prepared evaluation still resumes from them bit-identically.
+/// Past the snapshot-capture cap (`batches × flip-flops > 2^16`, the
+/// s35932 class) the dense query declines faulty-plane capture and
+/// reports it, and a later evaluation still resumes its good trace from
+/// the cached prefix and stays bit-identical to from-scratch.
 #[test]
-fn spilled_snapshots_resume_bit_identical_past_the_raw_cap() {
-    let c = SyntheticSpec::new("spill-tier", 8, 4, 1100, 2400, 7).build();
+fn snapshot_capture_is_declined_past_the_cap() {
+    let c = SyntheticSpec::new("capture-cap", 8, 4, 1100, 2400, 7).build();
     let faults = FaultList::all_lines(&c);
     let n_batches = faults.len().div_ceil(63);
     assert!(
         n_batches * c.num_dffs() > 1 << 16,
-        "shape must exceed the raw cap: {n_batches} batches x {} flip-flops",
+        "shape must exceed the capture cap: {n_batches} batches x {} flip-flops",
         c.num_dffs(),
-    );
-    assert!(
-        n_batches * c.num_dffs() <= 1 << 24,
-        "but stay under the spill cap"
     );
 
     let owner = Lfsr::new(20, 0xBEEF).sequence(c.num_inputs(), 16);
@@ -357,34 +369,33 @@ fn spilled_snapshots_resume_bit_identical_past_the_raw_cap() {
     let mut cache = PrefixTraceCache::new();
     let prep = sim.prepare_sequence(Some(&cache), &owner);
     let out = sim.query(&faults).prepared(&prep).cache(&cache).outcome();
-    assert!(
-        out.snapshot_spills > 0,
-        "capture must engage the spill tier"
-    );
-    assert!(out.snapshot_bytes > 0, "spilled snapshots pin bytes");
-    assert!(!out.snapshot_capture_denied, "spill fits under the cap");
+    assert!(out.snapshot_capture_denied, "capture must be declined");
     cache.install(out.install);
 
     let probe = diverge_at(&owner, 13, 3);
     let scratch = sim.query(&faults).sequence(&probe).detected_indices();
     let prep = sim.prepare_sequence(Some(&cache), &probe);
-    assert_eq!(prep.reused_cycles(), 13, "the probe shares 13 rows");
+    assert_eq!(prep.reused_cycles(), 13, "the trace-side prefix is reused");
+    assert!(prep.cone_seeded());
     let out = sim.query(&faults).prepared(&prep).cache(&cache).outcome();
     assert!(
-        out.resumed_cycles > 0,
-        "spilled snapshots must actually resume fault batches"
+        out.snapshot_capture_denied,
+        "the denial is a function of shape"
+    );
+    assert_eq!(
+        out.resumed_cycles, 0,
+        "no snapshots, no faulty-plane resume"
     );
     assert_eq!(
         out.detected, scratch,
-        "spilled resume must be bit-identical to from-scratch"
+        "a prepared query without snapshots must equal from-scratch"
     );
 }
 
 proptest! {
-    /// Randomized divergences on s27: the cone-seeded resume and the
-    /// full-rescan resume produce identical detections at any cut
-    /// cycle — both equal to the from-scratch evaluation — whichever
-    /// input stream diverges.
+    /// Randomized divergences on s27: the cone-seeded resume equals the
+    /// from-scratch evaluation at any cut cycle, whichever input stream
+    /// diverges, and its accounting balances.
     #[test]
     fn s27_cone_seeding_is_invisible(
         seed in 1u32..0xFFFF,
@@ -397,22 +408,9 @@ proptest! {
         let faults = FaultList::checkpoints(&c);
         let owner = Lfsr::new(16, seed).sequence(c.num_inputs(), t_len);
         let probe = diverge_at(&owner, cut, pi_sel % c.num_inputs());
-        let scratch = FaultSim::new(&c).query(&faults).sequence(&probe).detected_indices();
-        for cone in [true, false] {
-            let sim = FaultSim::with_options(
-                &c,
-                SimOptions::with_threads(1).cone_seeding(cone),
-            );
-            let mut cache = PrefixTraceCache::new();
-            let prep = sim.prepare_sequence(Some(&cache), &owner);
-            let out = sim.query(&faults).prepared(&prep).cache(&cache).outcome();
-            cache.install(out.install);
-            let prep = sim.prepare_sequence(Some(&cache), &probe);
-            prop_assert_eq!(prep.reused_cycles(), cut);
-            prop_assert_eq!(prep.cone_seeded(), cone);
-            let out = sim.query(&faults).prepared(&prep).cache(&cache).outcome();
-            prop_assert_eq!(&out.detected, &scratch, "cone seeding {}", cone);
-        }
+        let sim = FaultSim::with_options(&c, SimOptions::with_threads(1));
+        let cache = primed_cache(&sim, &faults, &owner);
+        assert_cone_resume_matches_scratch(&sim, &faults, &cache, &probe, cut);
     }
 
     /// Randomized configurations on s27 (an LFSR `T` or the paper's
